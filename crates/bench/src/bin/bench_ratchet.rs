@@ -10,9 +10,10 @@
 //! Every input is a flat `{"name": ratio}` JSON object in the
 //! workspace's byte-stable idiom (`--summary-out` of
 //! `stream_throughput` and `obs_overhead`). The metrics are
-//! machine-normalized wall-time **ratios** (instrumented/baseline,
-//! pipeline/encode), so a single committed baseline is meaningful
-//! across hosts. Two failure modes:
+//! machine-normalized wall-time **ratios** (instrumented/baseline;
+//! encode and pipeline-minus-encode over a fixed calibration loop), so
+//! a single committed baseline is meaningful across hosts. Two failure
+//! modes:
 //!
 //! * **regression** — measured > baseline × (1 + `DUAL_BENCH_TOL`),
 //!   default 10%. The hot path got slower; fix it or raise the

@@ -13,22 +13,31 @@
 //! PIM energy/latency from the DUAL cost model — so the file is
 //! byte-stable across machines, reruns, and thread counts.
 //!
-//! `--summary-out PATH` additionally measures the perf-ratchet metrics
-//! `stream_pipeline_over_encode` (interpreted assign) and
-//! `stream_pipeline_compiled` (the same pipeline dispatching the
-//! verifier-gated `dual-compile` program): each is the median-of-5
-//! ratio of full serial pipeline wall time over bare serial HD-encode
-//! wall time for the same points. Numerator and denominator scale
-//! together with the host, so the ratios are machine-normalized;
+//! `--summary-out PATH` additionally measures the perf-ratchet
+//! metrics, each the median-of-9 wall time of one serial layer divided
+//! by the wall time of a fixed multiply-add + popcount calibration loop
+//! that is not code under test (so the ratios are host-normalized
+//! without tying one stage's baseline to another's speed):
+//!
+//! * `stream_encode_over_calib` — bare `HdMapper::encode` of the
+//!   ratchet points;
+//! * `stream_residual_over_calib` — the full serial pipeline minus the
+//!   encode kernel (ring, batching, interpreted assign, update, meter),
+//!   timed directly by running it over an encoder that replays the
+//!   pre-encoded hypervectors;
+//! * `stream_residual_compiled_over_calib` — the same residual with the
+//!   assign stage dispatching the verifier-gated `dual-compile` program.
+//!
+//! A speedup in any layer lowers its own metric and no other;
 //! `bench_ratchet` compares them against the committed
-//! `results/bench_summary.json`. Compiled beating interpreted is the
-//! win the `compile` CI stage ratchets.
+//! `results/bench_summary.json`.
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use dual_data::DriftSpec;
-use dual_hdc::{Encoder, HdMapper};
+use dual_hdc::{Encoder, HdMapper, HdcError, Hypervector};
 use dual_pim::StreamBatchCost;
 use dual_stream::{BackpressurePolicy, StreamConfig, StreamEngine, StreamSnapshot};
 
@@ -39,11 +48,11 @@ const DEFAULT_POINTS: usize = 120_000;
 /// Consumer cadence chosen to overrun the ring: the gap between ticks
 /// exceeds capacity, so every policy's degradation path is exercised.
 const TICK_EVERY: usize = 1536;
-/// Points per ratchet repetition (small: the metric is a ratio, not a
-/// throughput — it only needs enough work to dominate timer noise).
+/// Points per ratchet repetition (small: the metrics are ratios, not
+/// throughputs — they only need enough work to dominate timer noise).
 const RATCHET_POINTS: usize = 24_000;
 /// Repetitions for the median (an odd count has a true median).
-const RATCHET_REPS: usize = 5;
+const RATCHET_REPS: usize = 9;
 
 struct PolicyRun {
     policy: BackpressurePolicy,
@@ -117,22 +126,78 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Machine-normalized pipeline cost factor for the perf ratchet: wall
-/// time of the full serial streaming pipeline divided by wall time of
-/// bare serial HD encoding of the same points, median of
-/// [`RATCHET_REPS`] repetitions. Serial on both sides (`threads = 1`)
-/// so the ratio is independent of `DUAL_THREADS` and core count.
-/// `compiled` flips the assign stage onto the pre-compiled pipeline
-/// program (compilation happens at engine construction, outside the
-/// timed region — that is the point of compiling once).
-fn ratchet_ratio(compiled: bool) -> f64 {
-    let make_encoder = || {
-        HdMapper::builder(DIM, FEATURES)
-            .seed(7)
-            .sigma(6.0)
-            .build()
-            .expect("valid encoder spec")
-    };
+/// Calibration sweeps per ratchet segment (≈ 2 ms on a 2-vCPU Xeon).
+const CALIB_SWEEPS: u32 = 60;
+
+/// The ratchet's host-speed yardstick: fixed multiply-add + popcount
+/// code that is not code under test. Each sweep multiply-adds a
+/// popcount into every lane of a 64 KiB `f64` buffer — the execution
+/// units and cache level of the encode and search kernels, none of
+/// their code — so it slows down only when the host does. The
+/// multiply-add is unfused: baseline x86-64 has no FMA instruction,
+/// and `f64::mul_add` would be a libm call.
+fn calibration(buf: &mut [f64], words: &[u64]) {
+    for sweep in 0..CALIB_SWEEPS {
+        let k = 0.999 + f64::from(sweep) * 1e-9;
+        for (a, w) in buf.iter_mut().zip(words.iter().cycle()) {
+            *a = *a * k + f64::from(w.count_ones());
+        }
+    }
+    std::hint::black_box(buf);
+}
+
+/// An encoder that hands back pre-encoded hypervectors in call order:
+/// a serial pipeline over it does everything but the encode kernel.
+struct Replay {
+    hvs: Vec<Hypervector>,
+    next: AtomicUsize,
+}
+
+impl Encoder for Replay {
+    fn dim(&self) -> usize {
+        DIM
+    }
+
+    fn n_features(&self) -> usize {
+        FEATURES
+    }
+
+    fn encode(&self, _features: &[f64]) -> Result<Hypervector, HdcError> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        self.hvs.get(i).cloned().ok_or(HdcError::InvalidParameter {
+            name: "features",
+            reason: "replay exhausted",
+        })
+    }
+}
+
+/// Wall time of `f`, in seconds.
+fn timed(f: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64()
+}
+
+/// The ratchet metrics `(encode, residual, residual compiled)`, each
+/// the median over [`RATCHET_REPS`] repetitions of that repetition's
+/// wall time divided by its calibration time.
+///
+/// A repetition walks the ratchet points in [`TICK_EVERY`]-point
+/// segments and times, back to back per segment, one calibration run,
+/// bare serial encode of the segment, and the segment's push + tick on
+/// an interpreted and on a compiled serial [`Replay`] engine (drains
+/// close the last segment). Interleaving at ~10 ms granularity makes a
+/// busy host slow the yardstick and the code under test alike.
+/// Everything runs serial (`threads = 1`) so the metrics are
+/// independent of `DUAL_THREADS` and core count; compilation happens
+/// at engine construction, outside the timed region — that is the
+/// point of compiling once.
+fn ratchet_metrics() -> (f64, f64, f64) {
+    let encoder = HdMapper::builder(DIM, FEATURES)
+        .seed(7)
+        .sigma(6.0)
+        .build()
+        .expect("valid encoder spec");
     let mut spec = DriftSpec::new(FEATURES, CLUSTERS);
     spec.drift_rate = 1e-3;
     let stream: Vec<Vec<f64>> = spec
@@ -140,19 +205,8 @@ fn ratchet_ratio(compiled: bool) -> f64 {
         .take(RATCHET_POINTS)
         .map(|(p, _)| p)
         .collect();
-
-    let mut ratios = Vec::with_capacity(RATCHET_REPS);
-    for _ in 0..RATCHET_REPS {
-        // Denominator: bare serial encode of every point.
-        let enc = make_encoder();
-        let t0 = Instant::now();
-        for p in &stream {
-            std::hint::black_box(enc.encode(p).expect("well-shaped point"));
-        }
-        let t_encode = t0.elapsed().as_secs_f64();
-
-        // Numerator: the full pipeline (ring -> batch -> encode ->
-        // assign -> update -> meter) over the same points, serial.
+    let encoded = encoder.encode_batch(&stream).expect("well-shaped points");
+    let make_engine = |compiled: bool| {
         let mut cfg = StreamConfig::new(CLUSTERS);
         cfg.capacity = 1024;
         cfg.max_batch = 256;
@@ -161,19 +215,50 @@ fn ratchet_ratio(compiled: bool) -> f64 {
         cfg.decay = 0.95;
         cfg.threads = 1;
         cfg.compiled = compiled;
-        let mut engine = StreamEngine::new(make_encoder(), cfg).expect("valid stream config");
-        let t0 = Instant::now();
-        for (i, p) in stream.iter().enumerate() {
+        let replay = Replay {
+            hvs: encoded.clone(),
+            next: AtomicUsize::new(0),
+        };
+        StreamEngine::new(replay, cfg).expect("valid stream config")
+    };
+    let feed = |engine: &mut StreamEngine<Replay>, segment: &[Vec<f64>]| {
+        for p in segment {
             engine.push(p).expect("well-shaped point");
-            if (i + 1) % TICK_EVERY == 0 {
-                engine.tick().expect("tick");
-            }
         }
-        engine.drain().expect("drain");
-        let t_pipeline = t0.elapsed().as_secs_f64();
-        ratios.push(t_pipeline / t_encode.max(1e-9));
+        if segment.len() == TICK_EVERY {
+            engine.tick().expect("tick");
+        }
+    };
+
+    let mut encode = Vec::with_capacity(RATCHET_REPS);
+    let mut residual = Vec::with_capacity(RATCHET_REPS);
+    let mut residual_compiled = Vec::with_capacity(RATCHET_REPS);
+    let mut calib_buf = vec![0.0f64; 8192];
+    let calib_words: Vec<u64> = (0..512u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    for _ in 0..RATCHET_REPS {
+        let mut interpreted = make_engine(false);
+        let mut compiled = make_engine(true);
+        let (mut t_calib, mut t_encode, mut t_pipe, mut t_pipe_compiled) = (0.0, 0.0, 0.0, 0.0);
+        for segment in stream.chunks(TICK_EVERY) {
+            t_calib += timed(|| calibration(&mut calib_buf, &calib_words));
+            t_encode += timed(|| {
+                for p in segment {
+                    std::hint::black_box(encoder.encode(p).expect("well-shaped point"));
+                }
+            });
+            t_pipe += timed(|| feed(&mut interpreted, segment));
+            t_pipe_compiled += timed(|| feed(&mut compiled, segment));
+        }
+        t_pipe += timed(|| drop(interpreted.drain().expect("drain")));
+        t_pipe_compiled += timed(|| drop(compiled.drain().expect("drain")));
+        let t_calib = t_calib.max(1e-9);
+        encode.push(t_encode / t_calib);
+        residual.push(t_pipe / t_calib);
+        residual_compiled.push(t_pipe_compiled / t_calib);
     }
-    median(ratios)
+    (median(encode), median(residual), median(residual_compiled))
 }
 
 /// Hand-serialized report in the workspace's byte-stable JSON idiom:
@@ -309,14 +394,13 @@ fn main() {
     }
 
     if let Some(path) = summary_out {
-        let interpreted = ratchet_ratio(false);
-        let compiled = ratchet_ratio(true);
+        let (encode, residual, residual_compiled) = ratchet_metrics();
         let payload = format!(
-            "{{\n  \"version\": 1,\n  \"stream_pipeline_compiled\": {compiled:.4},\n  \"stream_pipeline_over_encode\": {interpreted:.4}\n}}\n"
+            "{{\n  \"version\": 1,\n  \"stream_encode_over_calib\": {encode:.4},\n  \"stream_residual_compiled_over_calib\": {residual_compiled:.4},\n  \"stream_residual_over_calib\": {residual:.4}\n}}\n"
         );
         std::fs::write(&path, payload).expect("writable --summary-out path");
         println!(
-            "ratchet metrics written to {path}: stream_pipeline_over_encode = {interpreted:.4}, stream_pipeline_compiled = {compiled:.4} (medians of {RATCHET_REPS})"
+            "ratchet metrics written to {path}: stream_encode_over_calib = {encode:.4}, stream_residual_over_calib = {residual:.4}, stream_residual_compiled_over_calib = {residual_compiled:.4} (medians of {RATCHET_REPS})"
         );
     }
 }

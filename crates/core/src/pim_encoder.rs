@@ -64,7 +64,7 @@ impl PimEncoder {
         let s = f64::from(1u32 << s_bits);
         let mut base_q = Vec::with_capacity(dim * m);
         for i in 0..dim {
-            for &b in mapper.base_vector(i) {
+            for b in mapper.base_vector(i) {
                 let q = (b * s).round().clamp(-4.0 * s, 4.0 * s) as i64;
                 base_q.push(q);
             }

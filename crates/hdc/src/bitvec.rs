@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-const WORD_BITS: usize = 64;
+pub(crate) const WORD_BITS: usize = 64;
 
 /// A fixed-length, heap-allocated bit vector packed into `u64` words.
 ///
@@ -204,6 +204,23 @@ impl BitVec {
         &self.words
     }
 
+    /// Adopt pre-packed words (bit `i` at `words[i / 64] >> (i % 64)`)
+    /// as a `len`-bit vector; bits past `len` are cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != len.div_ceil(64)`.
+    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(WORD_BITS),
+            "word count must cover len"
+        );
+        let mut v = Self { words, len };
+        v.mask_tail();
+        v
+    }
+
     fn mask_tail(&mut self) {
         let rem = self.len % WORD_BITS;
         if rem != 0 {
@@ -338,6 +355,24 @@ mod tests {
         assert_eq!(ws[0], (0b111_1111, 7));
         assert_eq!(ws[1], (0b111_1111, 7));
         assert_eq!(ws[2], (0b11_1111, 6));
+    }
+
+    #[test]
+    fn from_words_masks_the_tail() {
+        let v = BitVec::from_words(vec![u64::MAX, u64::MAX], 70);
+        assert_eq!(v.as_words(), &[u64::MAX, (1 << 6) - 1]);
+        assert_eq!(v.count_ones(), 70);
+        assert_eq!(v.hamming(&BitVec::ones(70)), 0);
+        assert_eq!(v, BitVec::ones(70));
+        let exact = BitVec::from_words(vec![0b1011], 64);
+        assert_eq!(exact.count_ones(), 3);
+        assert_eq!(exact.hamming(&BitVec::zeros(64)), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "word count must cover len")]
+    fn from_words_rejects_short_input() {
+        let _ = BitVec::from_words(vec![0], 65);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The HD-Mapper: DUAL's non-linear RBF-inspired encoder (§III-A).
 
-use crate::{BitVec, Encoder, HdcError, Hypervector};
+use crate::{bitvec::WORD_BITS, BitVec, Encoder, HdcError, Hypervector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Normal};
@@ -53,8 +53,8 @@ pub enum CosineMode {
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HdMapper {
-    /// Row-major `D × m` base matrix.
-    base: Vec<f64>,
+    /// Feature-major `m × D` base matrix: `base_t[j·D + i] = B_i[j]`.
+    base_t: Vec<f64>,
     dim: usize,
     n_features: usize,
     sigma: f64,
@@ -123,11 +123,16 @@ impl HdMapperBuilder {
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
         let normal = Normal::new(0.0, 1.0).expect("unit normal is valid");
-        let base = (0..self.dim * self.n_features)
-            .map(|_| normal.sample(&mut rng))
-            .collect();
+        // Draw in the row-major order `B_0[0], B_0[1], …, B_1[0], …` so
+        // the seed → base-vector mapping is layout-independent.
+        let mut base_t = vec![0.0; self.dim * self.n_features];
+        for i in 0..self.dim {
+            for j in 0..self.n_features {
+                base_t[j * self.dim + i] = normal.sample(&mut rng);
+            }
+        }
         Ok(HdMapper {
-            base,
+            base_t,
             dim: self.dim,
             n_features: self.n_features,
             sigma: self.sigma,
@@ -172,43 +177,80 @@ impl HdMapper {
         self.mode
     }
 
-    /// Base vector `B_i` (row `i` of the base matrix).
+    /// Base vector `B_i` (column `i` of the feature-major base
+    /// matrix), yielding its `m` components in feature order.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.dim()`.
-    #[must_use]
-    pub fn base_vector(&self, i: usize) -> &[f64] {
+    pub fn base_vector(&self, i: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
         assert!(i < self.dim, "base vector index out of range");
-        &self.base[i * self.n_features..(i + 1) * self.n_features]
+        self.base_t[i..].iter().step_by(self.dim).copied()
     }
 
     /// The raw (pre-binarization) encoding `h_i = cos(B_i·F/σ)` — exposed
     /// because the PIM encoding pipeline (§V-A) operates on exactly this
-    /// intermediate before taking the sign bit.
+    /// intermediate before taking the sign bit. Evaluates the configured
+    /// [`CosineMode`] through [`f64::cos`] for `Exact`: this is the
+    /// reference [`Encoder::encode`] is bit-identical to.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::FeatureLength`] on a feature-count mismatch.
     pub fn project(&self, features: &[f64]) -> Result<Vec<f64>, HdcError> {
+        let mut h = self.angles(features)?;
+        for x in &mut h {
+            *x = eval_cosine(*x, self.mode);
+        }
+        Ok(h)
+    }
+
+    /// The projection kernel shared by [`HdMapper::project`] and
+    /// [`Encoder::encode`]: the angles `B_i·F/σ` for every dimension.
+    ///
+    /// Each dimension's dot product is accumulated over features
+    /// `j = 0..m` in order from `-0.0` (the exact additive identity, as
+    /// in `Iterator::sum`), then scaled by `1/σ` — the same operations
+    /// in the same order as a per-dimension `Σ_j B_i[j]·F[j]`, so every
+    /// angle is bit-identical to the row-at-a-time form while the inner
+    /// loops run across contiguous dimensions and vectorize. Features
+    /// are taken four at a time so each accumulator is loaded and
+    /// stored once per four multiply-adds.
+    fn angles(&self, features: &[f64]) -> Result<Vec<f64>, HdcError> {
         if features.len() != self.n_features {
             return Err(HdcError::FeatureLength {
                 expected: self.n_features,
                 got: features.len(),
             });
         }
+        let d = self.dim;
+        let mut acc = vec![-0.0; d];
+        for (rows, f) in self
+            .base_t
+            .chunks_exact(4 * d)
+            .zip(features.chunks_exact(4))
+        {
+            let (r0, rest) = rows.split_at(d);
+            let (r1, rest) = rest.split_at(d);
+            let (r2, r3) = rest.split_at(d);
+            for ((((a, &b0), &b1), &b2), &b3) in acc.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+                *a = (((*a + b0 * f[0]) + b1 * f[1]) + b2 * f[2]) + b3 * f[3];
+            }
+        }
+        let done = features.len() / 4 * 4;
+        for (row, &f) in self.base_t[done * d..]
+            .chunks_exact(d)
+            .zip(&features[done..])
+        {
+            for (a, &b) in acc.iter_mut().zip(row) {
+                *a += b * f;
+            }
+        }
         let inv_sigma = 1.0 / self.sigma;
-        Ok((0..self.dim)
-            .map(|i| {
-                let dot: f64 = self
-                    .base_vector(i)
-                    .iter()
-                    .zip(features)
-                    .map(|(b, f)| b * f)
-                    .sum();
-                eval_cosine(dot * inv_sigma, self.mode)
-            })
-            .collect())
+        for a in &mut acc {
+            *a *= inv_sigma;
+        }
+        Ok(acc)
     }
 }
 
@@ -222,13 +264,83 @@ impl Encoder for HdMapper {
     }
 
     fn encode(&self, features: &[f64]) -> Result<Hypervector, HdcError> {
-        let projected = self.project(features)?;
-        let bits: BitVec = projected.iter().map(|&h| h > 0.0).collect();
+        let words: Vec<u64> = self
+            .angles(features)?
+            .chunks(WORD_BITS)
+            .map(|block| match self.mode {
+                CosineMode::Exact => cos_positive_word(block),
+                mode => pack_word(block.iter().map(|&x| eval_cosine(x, mode) > 0.0)),
+            })
+            .collect();
         // Counted here (not in `encode_batch`, which delegates) so
         // every successfully encoded hypervector is counted exactly
         // once regardless of the entry point.
         dual_obs::Obs::global().add(dual_obs::Key::HdcEncoded, 1);
+        let bits = BitVec::from_words(words, self.dim);
         Ok(Hypervector::from_bitvec(bits))
+    }
+}
+
+/// Pack up to 64 booleans LSB-first into one word.
+fn pack_word(bits: impl Iterator<Item = bool>) -> u64 {
+    bits.enumerate()
+        .fold(0, |word, (k, bit)| word | (u64::from(bit) << k))
+}
+
+/// `1/2π`, the turns-per-radian scale of the quadrant test.
+const INV_TAU: f64 = 1.0 / std::f64::consts::TAU;
+/// `1.5·2⁵²`: `(t + M) − M` rounds any `|t| < 2⁵¹` to the nearest
+/// integer, ties to even, in two IEEE operations (`f64::round` is a
+/// libm call on baseline x86-64).
+const RNE_MAGIC: f64 = 6_755_399_441_055_744.0;
+/// Turns beyond which the quadrant test defers to libm.
+const FAST_TURNS_LIMIT: f64 = 1_048_576.0; // 2^20
+/// Half-width of the band around the quadrant edge that defers to libm.
+const EDGE_BAND: f64 = 1e-9;
+
+/// `cos(x) > 0.0` for each angle in `angles` (at most 64), packed
+/// LSB-first — bit-identical to [`f64::cos`], which is only called for
+/// the angles [`turn_distance`] cannot decide.
+fn cos_positive_word(angles: &[f64]) -> u64 {
+    let mut dist = [0.0f64; WORD_BITS];
+    for (r, &x) in dist.iter_mut().zip(angles) {
+        *r = turn_distance(x);
+    }
+    let mut word = 0u64;
+    let mut deferred = 0u64;
+    for (k, &r) in dist[..angles.len()].iter().enumerate() {
+        word |= u64::from(r < 0.25) << k;
+        deferred |= u64::from(r.is_nan()) << k;
+    }
+    while deferred != 0 {
+        let k = deferred.trailing_zeros();
+        word |= u64::from(angles[k as usize].cos() > 0.0) << k;
+        deferred &= deferred - 1;
+    }
+    word
+}
+
+/// Branch-free quadrant test: the distance `r ∈ [0, ½]` from `x/2π` to
+/// the nearest whole turn, so that `cos(x) > 0 ⇔ r < ¼`, or NaN when
+/// the test cannot decide.
+///
+/// The computed `t = x·(1/2π)` carries two roundings (of `1/2π` and of
+/// the product), so for `|t| < 2²⁰` it is within `2⁻⁵²·|t| < 2.4e-10`
+/// of the true `x/2π`. `t − rne(t)` and the absolute value are exact,
+/// and the distance to the nearest integer is 1-Lipschitz, so `r` is
+/// within `2.4e-10` of the true distance. Outside the `±1e-9` band
+/// around `¼` the sign of `r − ¼` is therefore the true sign of
+/// `cos x`, whose magnitude there exceeds `2π·7.6e-10 ≈ 4.8e-9` — far
+/// above libm's error, so libm agrees. Inside the band, for
+/// `|t| ≥ 2²⁰`, and for NaN/±∞ inputs (every comparison with NaN is
+/// false) the result is NaN and the caller asks libm.
+fn turn_distance(x: f64) -> f64 {
+    let t = x * INV_TAU;
+    let r = (t - ((t + RNE_MAGIC) - RNE_MAGIC)).abs();
+    if t.abs() < FAST_TURNS_LIMIT && (r - 0.25).abs() > EDGE_BAND {
+        r
+    } else {
+        f64::NAN
     }
 }
 
@@ -378,7 +490,131 @@ mod tests {
         assert_eq!(batch[1], m.encode(&rows[1]).unwrap());
     }
 
+    /// The libm reference `cos(x) > 0.0`, packed like `cos_positive_word`.
+    fn libm_word(angles: &[f64]) -> u64 {
+        pack_word(angles.iter().map(|&x| x.cos() > 0.0))
+    }
+
+    /// Assert the quadrant test agrees with libm on every angle, fed
+    /// through the packed-word path in 64-angle blocks (so deferred
+    /// lanes are patched in place among decided ones).
+    fn assert_matches_libm(angles: &[f64]) {
+        for block in angles.chunks(WORD_BITS) {
+            let (fast, libm) = (cos_positive_word(block), libm_word(block));
+            if fast != libm {
+                let k = (fast ^ libm).trailing_zeros() as usize;
+                panic!(
+                    "sign mismatch at x={:e} ({:#x})",
+                    block[k],
+                    block[k].to_bits()
+                );
+            }
+        }
+    }
+
+    /// `2·steps + 1` consecutive doubles centred on `x` (never crossing
+    /// zero for the magnitudes used here).
+    fn ulp_walk(x: f64, steps: u64) -> impl Iterator<Item = f64> {
+        let bits = x.to_bits();
+        (bits - steps..=bits + steps).map(f64::from_bits)
+    }
+
+    #[test]
+    fn quadrant_test_matches_libm_around_every_zero_of_cos() {
+        // ±4096 ulps around the double nearest (k+½)π for k in
+        // -4096..4096: for large |k| the walk crosses the ±1e-9 edge
+        // band, so both the fast and the deferred lanes are covered.
+        let mut walk = Vec::with_capacity(8193);
+        for k in -4096..4096 {
+            walk.clear();
+            walk.extend(ulp_walk((f64::from(k) + 0.5) * std::f64::consts::PI, 4096));
+            assert_matches_libm(&walk);
+        }
+    }
+
+    #[test]
+    fn quadrant_test_matches_libm_at_the_domain_edges() {
+        use std::f64::consts::TAU;
+        let limit = FAST_TURNS_LIMIT * TAU;
+        for x in [
+            limit,
+            -limit,
+            limit + 0.25 * TAU,
+            limit - 0.25 * TAU,
+            1e300,
+            -1e300,
+            1e17,
+        ] {
+            let walk: Vec<f64> = ulp_walk(x, 512).collect();
+            assert_matches_libm(&walk);
+        }
+        let special = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ];
+        assert_matches_libm(&special);
+        assert_eq!(
+            cos_positive_word(&special[..6]),
+            0b11_1111,
+            "cos ≈ 1 near zero"
+        );
+        // NaN and ±∞ have no cosine: their bit is 0, exactly as libm's NaN gives.
+        let undefined = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        assert_eq!(cos_positive_word(&undefined), 0);
+        assert_eq!(libm_word(&undefined), 0);
+    }
+
+    #[test]
+    fn non_finite_features_encode_to_zero_bits() {
+        let m = HdMapper::new(200, 3, 1).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let h = m.encode(&[1.0, bad, -2.0]).unwrap();
+            assert_eq!(h.dim(), 200);
+            assert_eq!(h.bits().count_ones(), 0, "feature {bad}");
+        }
+    }
+
+    #[test]
+    fn base_vector_iterates_the_row_major_draw_order() {
+        // Column i of the feature-major matrix is B_i, drawn as the
+        // i-th run of m consecutive unit normals.
+        let m = HdMapper::new(5, 3, 11).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        let normal = Normal::new(0.0, 1.0).unwrap();
+        for i in 0..5 {
+            let drawn: Vec<f64> = (0..3).map(|_| normal.sample(&mut rng)).collect();
+            assert_eq!(m.base_vector(i).len(), 3);
+            assert_eq!(m.base_vector(i).collect::<Vec<_>>(), drawn);
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_encode_is_the_sign_of_project(dim in 1usize..600, nf in 1usize..20,
+                                             sigma in 0.01f64..50.0, seed in 0u64..1000,
+                                             feats in proptest::collection::vec(-1e3f64..1e3, 20)) {
+            let f = &feats[..nf];
+            for mode in [CosineMode::Exact, CosineMode::Taylor3, CosineMode::Taylor3Raw] {
+                let m = HdMapper::builder(dim, nf).seed(seed).sigma(sigma)
+                    .cosine_mode(mode).build().unwrap();
+                let h = m.project(f).unwrap();
+                // project() is the row-at-a-time reference, value for value.
+                for (i, &hi) in h.iter().enumerate() {
+                    let dot: f64 = m.base_vector(i).zip(f).map(|(b, x)| b * x).sum();
+                    prop_assert_eq!(hi.to_bits(), eval_cosine(dot * (1.0 / sigma), mode).to_bits());
+                }
+                let expected: BitVec = h.iter().map(|&x| x > 0.0).collect();
+                let got = m.encode(f).unwrap();
+                prop_assert_eq!(got.bits(), &expected);
+            }
+        }
+
         #[test]
         fn prop_encoding_dim_always_matches(dim in 1usize..512, nf in 1usize..8,
                                             feats in proptest::collection::vec(-10.0f64..10.0, 8)) {

@@ -766,9 +766,11 @@ impl<E: Encoder + Sync> StreamEngine<E> {
         }
     }
 
-    /// Pop up to `max_batch` points and run them through
+    /// Run up to `max_batch` points from the ring head through
     /// sense → encode → assign → accumulate → re-binarize, committing
-    /// the batch's chip cost. Returns `None` (without popping) when a
+    /// the batch's chip cost. The points are popped only once all of
+    /// them have encoded, so an encode error leaves them pending.
+    /// Returns `None` (without popping) when a
     /// quarantined shard defers the batch — the ring itself is the
     /// requeue buffer, and the batcher deadline stays armed because
     /// `note_cut` is never reached. A [`CutReason::Drain`] cut forces
@@ -786,14 +788,8 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             return Ok(None);
         }
 
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(self.config.max_batch);
-        while rows.len() < self.config.max_batch {
-            match self.ring.pop() {
-                Some(p) => rows.push(p),
-                None => break,
-            }
-        }
-        let n = as_u64(rows.len());
+        let taken = self.ring.len().min(self.config.max_batch);
+        let n = as_u64(taken);
         let tick = self.batcher.now();
         let batch_span = self.trace.begin(
             tick,
@@ -812,13 +808,14 @@ impl<E: Encoder + Sync> StreamEngine<E> {
         );
         let before = self.flight();
         let encoder = &self.encoder;
-        let results: Vec<Result<Hypervector, dual_hdc::HdcError>> =
-            dual_pool::par_map_chunks(&rows, self.config.threads, |_, chunk| {
-                chunk.iter().map(|r| encoder.encode(r)).collect()
-            });
-        let mut encoded = Vec::with_capacity(rows.len());
-        for r in results {
-            encoded.push(r?);
+        let rows: Vec<&Vec<f64>> = self.ring.iter().take(taken).collect();
+        let encoded = dual_pool::par_map_chunks(&rows, self.config.threads, |_, chunk| {
+            chunk.iter().map(|r| encoder.encode(r)).collect()
+        })
+        .into_iter()
+        .collect::<Result<Vec<Hypervector>, _>>()?;
+        for _ in 0..taken {
+            self.ring.pop();
         }
         self.charge_encode(n);
         self.end_stage(tick, stage_span, dual_obs::Stage::Encoding, before);
@@ -1206,6 +1203,71 @@ mod tests {
         ));
         c.decay = 0.5;
         assert!(c.validate().is_ok());
+    }
+
+    /// An [`HdMapper`] that fails on any point whose first feature is
+    /// the marker value.
+    struct FailOnMarker(HdMapper);
+
+    const MARKER: f64 = 1234.5;
+
+    impl Encoder for FailOnMarker {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+
+        fn n_features(&self) -> usize {
+            self.0.n_features()
+        }
+
+        fn encode(&self, features: &[f64]) -> Result<Hypervector, dual_hdc::HdcError> {
+            if features[0] == MARKER {
+                return Err(dual_hdc::HdcError::InvalidParameter {
+                    name: "features",
+                    reason: "marked point",
+                });
+            }
+            self.0.encode(features)
+        }
+    }
+
+    #[test]
+    fn encoder_error_leaves_the_batch_pending() {
+        for threads in [1usize, 3] {
+            let mut cfg = StreamConfig::new(2);
+            cfg.max_batch = 4;
+            cfg.threads = threads;
+            let mapper = HdMapper::new(64, 2, 7).unwrap();
+            let mut e = StreamEngine::new(FailOnMarker(mapper), cfg).unwrap();
+            // One clean batch, then a batch whose third point is marked.
+            let offered = 9;
+            for i in 0..offered {
+                let p = if i == 6 { vec![MARKER, 0.0] } else { point(i) };
+                e.push(&p).unwrap();
+            }
+            assert!(matches!(
+                e.drain(),
+                Err(StreamError::Encode(dual_hdc::HdcError::InvalidParameter {
+                    name: "features",
+                    ..
+                }))
+            ));
+            let c = e.counters();
+            let clustered = e.snapshot().points;
+            assert_eq!(clustered, 4, "the clean batch committed");
+            assert_eq!(e.pending(), 5, "the failed batch is still buffered");
+            assert_eq!(
+                c.ingested,
+                clustered + c.dropped + as_u64(e.pending()),
+                "threads={threads}"
+            );
+            assert_eq!(
+                as_u64(offered),
+                clustered + c.dropped + c.rejected + as_u64(e.pending())
+            );
+            // The marked point is still buffered, third in the failed batch.
+            assert_eq!(e.ring.iter().nth(2), Some(&vec![MARKER, 0.0]));
+        }
     }
 
     #[test]
