@@ -26,10 +26,11 @@
 #   topology     multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS
 #   trace        flight-recorder kill/restore/replay identity, byte-diffed
 #   compile      verify-gated pipeline compilation + compiled-vs-interpreted differential
+#   perfbench    stream benchmark's own tests, incl. the engine-vs-per-bit-reference replay
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(build test doc clippy fmt lint bench obs fault determinism recovery verify-isa topology trace compile)
+ALL_STAGES=(build test doc clippy fmt lint bench obs fault determinism recovery verify-isa topology trace compile perfbench)
 
 describe_stage() {
   case "$1" in
@@ -48,6 +49,7 @@ describe_stage() {
     topology)    echo "multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS" ;;
     trace)       echo "flight-recorder kill/restore/replay identity, byte-diffed" ;;
     compile)     echo "verify-gated pipeline compilation + compiled-vs-interpreted differential" ;;
+    perfbench)   echo "stream benchmark's own tests, incl. the engine-vs-per-bit-reference replay" ;;
     *)           echo "" ;;
   esac
 }
@@ -268,6 +270,16 @@ stage_compile() {
     || { echo "compile_report.json drifted: regenerate and commit it"; return 1; }
   echo "    reports byte-identical across DUAL_THREADS in {0, 2, 8}"
   rm -rf "$tmp"
+}
+
+stage_perfbench() {
+  # perfbench is a package of its own (outside the workspace), built
+  # into the benchmark's target directory. Its replay tests rebuild the
+  # engine's work layer by layer — the sense stage through the per-bit
+  # `read_bit`/`majority_read_bit` reference — and require the engine
+  # to match bit for bit.
+  CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
+    --manifest-path perfbench/Cargo.toml
 }
 
 # ---------------------------------------------------------------- driver

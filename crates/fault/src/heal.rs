@@ -14,6 +14,7 @@
 //! no wall time, no iteration-order dependence.
 
 use crate::plan::FaultPlan;
+use crate::sense::RowImages;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -172,14 +173,26 @@ impl SpareRowPool {
     /// (consumed but never handed out). Returns `None` when the pool is
     /// exhausted.
     pub fn remap(&mut self, row: usize, plan: &FaultPlan) -> Option<usize> {
+        self.remap_with_images(row, plan, &mut RowImages::new())
+    }
+
+    /// [`SpareRowPool::remap`], validating candidates through `images`
+    /// (the owner's cache of `plan`'s row images): a spare that is
+    /// handed out is sensed next, so its image is built once for both.
+    pub fn remap_with_images(
+        &mut self,
+        row: usize,
+        plan: &FaultPlan,
+        images: &mut RowImages,
+    ) -> Option<usize> {
         if let Some(&spare) = self.map.get(&row) {
             return Some(spare);
         }
         while self.next < self.total {
             let candidate = self.base + self.next;
             self.next += 1;
-            let valid = !plan.is_dead_row(candidate) && plan.row_fault_count(candidate) == 0;
-            if valid {
+            // A dead row counts every column as faulty.
+            if images.get(plan, candidate).fault_count() == 0 {
                 self.map.insert(row, candidate);
                 return Some(candidate);
             }
@@ -205,6 +218,9 @@ impl SpareRowPool {
 /// observations. With an odd read count and a flip rate below ½ the
 /// majority converges on the persistent value — transient variation
 /// flips cancel; permanent faults (by design) do not.
+///
+/// This is the one-cell reference; [`crate::RowImage::sense`] reads a
+/// whole row to the same bits.
 #[must_use]
 pub fn majority_read_bit(
     plan: &FaultPlan,

@@ -19,6 +19,9 @@
 //! * [`HealingPolicy`] / [`SpareRowPool`] / [`majority_read_bit`] —
 //!   spare-row remap for dead and over-worn rows, and majority-vote
 //!   re-read that cancels transient flips.
+//! * [`RowImage`] / [`RowImages`] — a physical row's permanent faults
+//!   as cached words, and the row-level sense kernel that reads a
+//!   stored row to the same bits as the per-cell reference.
 //! * [`FaultyStore`] — a hypervector store wiring plan + policy
 //!   together on the read/write path, with [`FaultStats`] for obs
 //!   export.
@@ -36,6 +39,7 @@
 pub mod heal;
 pub mod plan;
 pub mod quarantine;
+pub mod sense;
 pub mod store;
 
 pub use heal::{majority_read_bit, HealingPolicy, SpareRowPool};
@@ -44,4 +48,5 @@ pub use plan::{
     InjectionReport,
 };
 pub use quarantine::{Quarantine, QuarantineConfig, QuarantineStats, ShardHealth};
+pub use sense::{RowImage, RowImages, SenseCounts};
 pub use store::{FaultStats, FaultyStore, StoreOutcome};

@@ -29,28 +29,35 @@ use std::collections::{BTreeMap, BTreeSet};
 const SALT_STUCK: u64 = 0x5EED_57AC_0000_0001;
 const SALT_STUCK_VALUE: u64 = 0x5EED_57AC_0000_0002;
 const SALT_DEAD: u64 = 0x5EED_DEAD_0000_0003;
-const SALT_FLIP: u64 = 0x5EED_F11F_0000_0004;
+pub(crate) const SALT_FLIP: u64 = 0x5EED_F11F_0000_0004;
 
 /// splitmix64 finalizer: a high-quality 64-bit mixing function.
 #[inline]
-fn splitmix(mut z: u64) -> u64 {
+pub(crate) fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
+/// One splitmix lane: fold coordinate `x` into hash state `h`.
+#[inline]
+pub(crate) fn lane(h: u64, x: u64) -> u64 {
+    splitmix(h.wrapping_add(x))
+}
+
 /// Keyed position hash: fold the coordinates through splitmix lanes.
+/// The lanes nest left to right, so a caller drawing many values at
+/// one `(seed, salt, a, b)` prefix can fold that prefix once and
+/// finish each draw with a single [`lane`].
 #[inline]
 fn mix(seed: u64, salt: u64, a: u64, b: u64, c: u64) -> u64 {
-    splitmix(
-        splitmix(splitmix(splitmix(seed ^ salt).wrapping_add(a)).wrapping_add(b)).wrapping_add(c),
-    )
+    lane(lane(lane(splitmix(seed ^ salt), a), b), c)
 }
 
 /// Map a hash to a uniform f64 in `[0, 1)` (53 mantissa bits — exact).
 #[inline]
-fn unit(h: u64) -> f64 {
+pub(crate) fn unit(h: u64) -> f64 {
     // Cast is exact: after `>> 11` only 53 bits remain, all representable.
     (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
 }
@@ -439,7 +446,8 @@ impl FaultPlan {
     }
 
     /// Number of permanently faulty cells in row `row` (stuck cells;
-    /// `cols` for a dead row). O(cols) — scan once and cache if hot.
+    /// `cols` for a dead row). O(cols): the sense path reads the count
+    /// from the row's cached [`crate::RowImage`] instead.
     #[must_use]
     pub fn row_fault_count(&self, row: usize) -> usize {
         if row >= self.spec.rows {

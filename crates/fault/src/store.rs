@@ -5,13 +5,16 @@
 //! The store models the DUAL data array the way the hardware sees it:
 //! the *pristine* hypervector is what the controller attempted to
 //! write; every load resolves the logical row through the spare-row
-//! remap table and reads each cell through
-//! [`FaultPlan::read_bit`]/[`majority_read_bit`]. Nothing about a load
-//! depends on load order — only on `(row, col, epoch)` — so the store
-//! is bit-identical across thread counts by construction.
+//! remap table and senses the physical row through its cached
+//! [`RowImage`](crate::RowImage) — bit for bit what
+//! [`FaultPlan::read_bit`]/[`crate::majority_read_bit`] read cell by
+//! cell. Nothing about a load depends on load order — only on
+//! `(row, col, epoch)` — so the store is bit-identical across thread
+//! counts by construction.
 
-use crate::heal::{majority_read_bit, HealingPolicy, SpareRowPool};
+use crate::heal::{HealingPolicy, SpareRowPool};
 use crate::plan::{FaultError, FaultPlan};
+use crate::sense::RowImages;
 use dual_hdc::Hypervector;
 use std::collections::BTreeMap;
 
@@ -52,6 +55,8 @@ pub enum StoreOutcome {
 #[derive(Debug, Clone)]
 pub struct FaultyStore {
     plan: FaultPlan,
+    /// Cached permanent-fault images of `plan`'s physical rows.
+    images: RowImages,
     policy: HealingPolicy,
     pool: SpareRowPool,
     data_rows: usize,
@@ -79,6 +84,7 @@ impl FaultyStore {
             data_rows,
             remap_threshold,
             plan,
+            images: RowImages::new(),
             policy,
             rows: BTreeMap::new(),
             stats: FaultStats::default(),
@@ -124,9 +130,10 @@ impl FaultyStore {
     }
 
     /// Whether `row` should be moved off its physical location.
-    fn needs_remap(&self, physical: usize) -> bool {
-        self.plan.is_dead_row(physical)
-            || self.plan.row_fault_count(physical) >= self.remap_threshold
+    fn needs_remap(&mut self, physical: usize) -> bool {
+        self.images
+            .get(&self.plan, physical)
+            .is_worn(self.remap_threshold)
     }
 
     /// Store `hv` at logical `row`. With spare-row healing enabled,
@@ -142,7 +149,10 @@ impl FaultyStore {
         let outcome = if self.pool.is_remapped(row) {
             StoreOutcome::Remapped(self.pool.resolve(row))
         } else if self.needs_remap(row) && self.policy.spares() > 0 {
-            match self.pool.remap(row, &self.plan) {
+            match self
+                .pool
+                .remap_with_images(row, &self.plan, &mut self.images)
+            {
                 Some(spare) => {
                     self.stats.remapped += 1;
                     StoreOutcome::Remapped(spare)
@@ -166,38 +176,13 @@ impl FaultyStore {
     /// plan (and through majority re-read when the policy enables it).
     /// Returns `None` for rows never stored.
     pub fn load(&mut self, row: usize, epoch: u64) -> Option<Hypervector> {
-        // Split borrows: read the pristine image, then mutate stats.
-        let pristine = self.rows.get(&row)?.clone();
+        let pristine = self.rows.get(&row)?;
         let physical = self.pool.resolve(row);
-        let reads = self.policy.reads();
-        let dim = pristine.dim();
-        let mut out = Hypervector::zeros(dim);
-        let mut injected = 0u64;
-        let mut healed = 0u64;
-        for col in 0..dim {
-            let stored = pristine.bits().get(col);
-            let seen = if reads > 1 {
-                let voted = majority_read_bit(&self.plan, physical, col, stored, epoch, reads);
-                let single =
-                    self.plan
-                        .read_bit(physical, col, stored, epoch.wrapping_mul(u64::from(reads)));
-                if single != stored && voted == stored {
-                    healed += 1;
-                }
-                voted
-            } else {
-                self.plan.read_bit(physical, col, stored, epoch)
-            };
-            if seen != stored {
-                injected += 1;
-            }
-            if seen {
-                out.bits_mut().set(col, true);
-            }
-        }
-        self.stats.injected += injected;
-        self.stats.healed += healed;
-        Some(out)
+        let image = self.images.get(&self.plan, physical);
+        let (bits, counts) = image.sense(&self.plan, pristine.bits(), epoch, self.policy.reads());
+        self.stats.injected += counts.errors;
+        self.stats.healed += counts.healed;
+        Some(Hypervector::from_bitvec(bits))
     }
 
     /// Rows currently stored.
@@ -216,8 +201,10 @@ impl FaultyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heal::majority_read_bit;
     use crate::plan::FaultPlanSpec;
     use dual_hdc::BitVec;
+    use proptest::prelude::*;
 
     fn ones_hv(dim: usize) -> Hypervector {
         Hypervector::from_bitvec(BitVec::ones(dim))
@@ -308,5 +295,64 @@ mod tests {
     fn spare_reservation_must_leave_data_rows() {
         let plan = FaultPlan::fault_free(4, 8);
         assert!(FaultyStore::new(plan, HealingPolicy::SpareRows { spares: 4 }).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Loads through spare-row remaps read each physical row bit for
+        /// bit as the per-cell reference does, and count the same
+        /// injected/healed totals.
+        #[test]
+        fn prop_load_matches_per_bit_reference(
+            seed in 0u64..1_000_000,
+            rows in 4usize..14,
+            cols in 1usize..200,
+            dim_delta in 0usize..80,
+            dead in 0.0f64..0.5,
+            stuck in 0.0f64..0.05,
+            flip in 0.0f64..0.2,
+            policy_pick in 0usize..4,
+            spares in 1usize..4,
+            reads in 1u32..6,
+            epoch in 0u64..u64::MAX,
+        ) {
+            let dim = (cols + dim_delta).saturating_sub(40).max(1);
+            let policy = [
+                HealingPolicy::Off,
+                HealingPolicy::SpareRows { spares },
+                HealingPolicy::MajorityReread { reads },
+                HealingPolicy::Full { spares, reads },
+            ][policy_pick];
+            let mut spec = FaultPlanSpec::clean(rows, cols);
+            spec.seed = seed;
+            spec.dead_row_rate = dead;
+            spec.stuck_rate = stuck;
+            spec.flip_rate = flip;
+            let plan = FaultPlan::new(spec).unwrap();
+            let mut store = FaultyStore::new(plan.clone(), policy).unwrap()
+                .with_remap_threshold(cols / 50 + 1);
+            let data: Vec<Hypervector> = (0..store.data_rows())
+                .map(|r| Hypervector::from_bitvec((0..dim).map(|c| (c * 7 + r) % 3 == 0).collect()))
+                .collect();
+            for (r, hv) in data.iter().enumerate() {
+                store.store(r, hv.clone()).unwrap();
+            }
+            let reads = policy.reads();
+            let (mut injected, mut healed) = (0u64, 0u64);
+            for (r, hv) in data.iter().enumerate() {
+                let physical = store.pool().resolve(r);
+                let want: BitVec = (0..dim).map(|c| {
+                    let s = hv.bits().get(c);
+                    let single = plan.read_bit(physical, c, s, epoch.wrapping_mul(u64::from(reads)));
+                    let seen = majority_read_bit(&plan, physical, c, s, epoch, reads);
+                    injected += u64::from(seen != s);
+                    healed += u64::from(reads > 1 && single != s && seen == s);
+                    seen
+                }).collect();
+                let got = store.load(r, epoch).unwrap();
+                prop_assert_eq!(got.bits(), &want, "row {}", r);
+            }
+            prop_assert_eq!((store.stats().injected, store.stats().healed), (injected, healed));
+        }
     }
 }

@@ -210,7 +210,7 @@ impl BitVec {
     /// # Panics
     ///
     /// Panics if `words.len() != len.div_ceil(64)`.
-    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Self {
+    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
         assert_eq!(
             words.len(),
             len.div_ceil(WORD_BITS),

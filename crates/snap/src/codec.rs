@@ -7,35 +7,74 @@ use crate::error::SnapError;
 
 /// Appending little-endian writer. Field order is the wire format:
 /// encode and decode must visit fields in exactly the same sequence.
+///
+/// A *counting* writer ([`Writer::counter`]) keeps no bytes: it only
+/// sums what a real writer would append, so running an encoder through
+/// it first measures the exact length of the bytes it writes.
 #[derive(Debug, Default)]
 pub(crate) struct Writer {
     buf: Vec<u8>,
+    len: usize,
+    counting: bool,
 }
 
 impl Writer {
+    #[cfg(test)]
     pub(crate) fn new() -> Self {
-        Self { buf: Vec::new() }
+        Self::default()
+    }
+
+    /// A writer that appends into a buffer of `capacity` bytes up front.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+            ..Self::default()
+        }
+    }
+
+    /// A writer that only counts bytes.
+    pub(crate) fn counter() -> Self {
+        Self {
+            counting: true,
+            ..Self::default()
+        }
+    }
+
+    /// Bytes written (or counted) so far.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
     pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
+    fn put_raw(&mut self, v: &[u8]) {
+        self.len += v.len();
+        if !self.counting {
+            self.buf.extend_from_slice(v);
+        }
+    }
+
     pub(crate) fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put_raw(&[v]);
     }
 
     pub(crate) fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_raw(&v.to_le_bytes());
     }
 
     pub(crate) fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Count-prefixed `u64` sequence.
     pub(crate) fn put_u64_vec(&mut self, v: &[u64]) {
         self.put_u64(len_u64(v.len()));
+        if self.counting {
+            self.len += 8 * v.len();
+            return;
+        }
         for &x in v {
             self.put_u64(x);
         }
@@ -44,7 +83,7 @@ impl Writer {
     /// Count-prefixed raw byte sequence.
     pub(crate) fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(len_u64(v.len()));
-        self.buf.extend_from_slice(v);
+        self.put_raw(v);
     }
 
     /// Count-prefixed UTF-8 string (encoded as its bytes).
@@ -160,22 +199,39 @@ pub(crate) const HEADER_LEN: usize = 16;
 /// Trailing frame checksum size.
 pub(crate) const CHECKSUM_LEN: usize = 8;
 
-/// Wrap `payload` in the shared frame: magic, version, length,
+/// Frame the payload `write_payload` produces: magic, version, length,
 /// payload, FNV-1a-64 checksum over everything before the checksum.
 /// Every blob family in this crate (`DSNP` engine snapshots, `DTNP`
 /// tenant checkpoints) uses this exact envelope.
-pub(crate) fn frame(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::new();
+///
+/// A counting pass of `write_payload` sizes the blob first, so the
+/// header, payload and checksum are written into one buffer allocated
+/// at its final size.
+pub(crate) fn frame(magic: [u8; 4], version: u32, write_payload: impl Fn(&mut Writer)) -> Vec<u8> {
+    let payload_len = payload_len(&write_payload);
+    let mut w = Writer::with_capacity(HEADER_LEN + payload_len + CHECKSUM_LEN);
     for b in magic {
         w.put_u8(b);
     }
     w.put_u32(version);
-    w.put_u64(len_u64(payload.len()));
-    let mut bytes = w.into_bytes();
-    bytes.extend_from_slice(payload);
-    let sum = fnv1a64(&bytes);
-    bytes.extend_from_slice(&sum.to_le_bytes());
-    bytes
+    w.put_u64(len_u64(payload_len));
+    write_payload(&mut w);
+    debug_assert_eq!(w.len(), HEADER_LEN + payload_len, "counted payload length");
+    let sum = fnv1a64(&w.buf);
+    w.put_u64(sum);
+    w.into_bytes()
+}
+
+/// Length of the blob [`frame`] writes for `write_payload`, from a
+/// counting pass alone.
+pub(crate) fn framed_len(write_payload: impl Fn(&mut Writer)) -> usize {
+    HEADER_LEN + payload_len(&write_payload) + CHECKSUM_LEN
+}
+
+fn payload_len(write_payload: &impl Fn(&mut Writer)) -> usize {
+    let mut counter = Writer::counter();
+    write_payload(&mut counter);
+    counter.len()
 }
 
 /// Validate the frame envelope (magic, version, length, checksum,
@@ -281,6 +337,26 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(r.u64_vec().is_err());
+    }
+
+    #[test]
+    fn counting_writer_measures_what_a_writer_writes() {
+        let fill = |w: &mut Writer| {
+            w.put_u8(1);
+            w.put_u32(2);
+            w.put_u64_vec(&[3, 4, 5]);
+            w.put_str("tenant");
+        };
+        let mut counter = Writer::counter();
+        fill(&mut counter);
+        let mut w = Writer::new();
+        fill(&mut w);
+        assert_eq!(counter.len(), w.len());
+        assert!(counter.into_bytes().is_empty(), "a counter keeps no bytes");
+        assert_eq!(w.into_bytes().len(), 1 + 4 + 32 + 14);
+        let framed = frame(*b"TEST", 1, fill);
+        assert_eq!(framed.len(), framed_len(fill));
+        assert_eq!(unframe(&framed, *b"TEST", 1).unwrap().len(), 51);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use state::{
 };
 pub use tenant::{TenantCheckpoint, TENANT_MAGIC, TENANT_VERSION};
 
-use codec::{Reader, Writer};
+use codec::Reader;
 
 /// Leading magic of every engine snapshot blob.
 pub const MAGIC: [u8; 4] = *b"DSNP";
@@ -76,9 +76,14 @@ impl EngineSnapshot {
     /// snapshots encode to identical bytes, on every platform.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Writer::new();
-        self.encode_payload(&mut payload);
-        codec::frame(MAGIC, VERSION, &payload.into_bytes())
+        codec::frame(MAGIC, VERSION, |w| self.encode_payload(w))
+    }
+
+    /// `self.encode().len()`, measured by a counting pass that writes no
+    /// bytes and computes no checksum.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        codec::framed_len(|w| self.encode_payload(w))
     }
 
     /// Parse a framed snapshot blob, failing closed on any corruption.
@@ -296,6 +301,16 @@ mod tests {
         snap.meter.last = None;
         let back = EngineSnapshot::decode(&snap.encode()).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn encoded_len_is_the_blob_length() {
+        let snap = sample();
+        assert_eq!(snap.encoded_len(), snap.encode().len());
+        let mut bare = sample();
+        bare.fault = None;
+        bare.pending.clear();
+        assert_eq!(bare.encoded_len(), bare.encode().len());
     }
 
     #[test]

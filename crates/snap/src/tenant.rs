@@ -23,7 +23,7 @@
 //! frame plus this envelope) — so `StreamEngine::restore_with` can be
 //! handed the inner bytes unchanged.
 
-use crate::codec::{self, Reader, Writer};
+use crate::codec::{self, Reader};
 use crate::error::SnapError;
 
 /// Leading magic of every tenant checkpoint blob.
@@ -48,11 +48,11 @@ impl TenantCheckpoint {
     /// checkpoints encode to identical bytes, on every platform.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Writer::new();
-        payload.put_str(&self.name);
-        payload.put_u64(self.topology_tick);
-        payload.put_bytes(&self.engine_blob);
-        codec::frame(TENANT_MAGIC, TENANT_VERSION, &payload.into_bytes())
+        codec::frame(TENANT_MAGIC, TENANT_VERSION, |w| {
+            w.put_str(&self.name);
+            w.put_u64(self.topology_tick);
+            w.put_bytes(&self.engine_blob);
+        })
     }
 
     /// Parse a framed tenant checkpoint, failing closed on any
@@ -151,11 +151,11 @@ mod tests {
 
     #[test]
     fn non_utf8_name_fails_closed() {
-        let mut payload = Writer::new();
-        payload.put_bytes(&[0xFF, 0xFE]); // invalid UTF-8 "name"
-        payload.put_u64(1);
-        payload.put_bytes(&[]);
-        let bytes = codec::frame(TENANT_MAGIC, TENANT_VERSION, &payload.into_bytes());
+        let bytes = codec::frame(TENANT_MAGIC, TENANT_VERSION, |w| {
+            w.put_bytes(&[0xFF, 0xFE]); // invalid UTF-8 "name"
+            w.put_u64(1);
+            w.put_bytes(&[]);
+        });
         assert_eq!(
             TenantCheckpoint::decode(&bytes),
             Err(SnapError::Corrupt {

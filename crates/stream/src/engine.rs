@@ -15,9 +15,7 @@ use crate::batcher::{Batcher, CutReason};
 use crate::error::StreamError;
 use crate::online::OnlineKMeans;
 use crate::ring::{BackpressurePolicy, PushOutcome, Ring};
-use dual_fault::{
-    majority_read_bit, FaultPlan, HealingPolicy, Quarantine, QuarantineConfig, SpareRowPool,
-};
+use dual_fault::{FaultPlan, HealingPolicy, Quarantine, QuarantineConfig, RowImages, SpareRowPool};
 use dual_hdc::{Encoder, Hypervector};
 use dual_obs::{Key, Registry};
 use dual_pim::endurance::WearLeveler;
@@ -212,6 +210,10 @@ pub struct FaultStatus {
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
     pub(crate) plan: FaultPlan,
+    /// Cached permanent-fault images of `plan`'s physical rows, built
+    /// on first sense. Derived state: never snapshotted, rebuilt
+    /// lazily after a restore.
+    pub(crate) images: RowImages,
     pub(crate) policy: HealingPolicy,
     pub(crate) pool: SpareRowPool,
     pub(crate) quarantine: Quarantine,
@@ -456,6 +458,7 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             pool: SpareRowPool::new(slots, spares),
             quarantine: Quarantine::new(self.config.shards, fault.quarantine),
             plan: fault.plan,
+            images: RowImages::new(),
             policy: fault.policy,
             threshold: fault.quarantine_threshold,
             remap_threshold,
@@ -845,12 +848,9 @@ impl<E: Encoder + Sync> StreamEngine<E> {
                 ),
                 None => self.model.observe_batch(&encoded, self.config.threads),
             },
-            Some(views) => {
-                self.model
-                    .observe_batch_sensed(&encoded, self.config.threads, |slot, _| {
-                        views.get(slot).cloned().flatten()
-                    })
-            }
+            Some(views) => self
+                .model
+                .observe_batch_views(&encoded, self.config.threads, views),
         };
         self.charge_assign(n, self.model.seeded());
         self.end_stage(tick, stage_span, dual_obs::Stage::Nearest, before);
@@ -934,7 +934,10 @@ impl<E: Encoder + Sync> StreamEngine<E> {
     /// the fault plan at the current logical epoch. Dead or badly worn
     /// rows are first remapped into the spare pool (when the policy
     /// provisions spares) and every bit is majority-voted over
-    /// re-reads (when it provisions them). Per-shard corrupted-bit
+    /// re-reads (when it provisions them). Each physical row is read
+    /// by the row-level kernel ([`dual_fault::RowImage::sense`]) over
+    /// its cached image — bit for bit the per-cell
+    /// `read_bit`/`majority_read_bit` reference. Per-shard corrupted-bit
     /// fractions above the quarantine threshold bench the shard; slots
     /// of non-serving shards are masked (`None`) so assignment routes
     /// around them.
@@ -958,45 +961,25 @@ impl<E: Encoder + Sync> StreamEngine<E> {
         let mut healed = 0u64;
         for (shard, range) in ranges.iter().enumerate() {
             for slot in range.clone() {
-                let stored = &centroids[slot];
                 if remap_on
                     && !fault.pool.is_remapped(slot)
-                    && (fault.plan.is_dead_row(slot)
-                        || fault.plan.row_fault_count(slot) >= fault.remap_threshold)
+                    && fault
+                        .images
+                        .get(&fault.plan, slot)
+                        .is_worn(fault.remap_threshold)
                 {
                     // An exhausted pool returns None: the row keeps
                     // serving faulty and quarantine picks up the shard.
-                    let _spare = fault.pool.remap(slot, &fault.plan);
+                    let _spare = fault
+                        .pool
+                        .remap_with_images(slot, &fault.plan, &mut fault.images);
                 }
-                let row = fault.pool.resolve(slot);
-                let mut seen = Hypervector::zeros(dim);
-                for c in 0..dim {
-                    let stored_bit = stored.bits().get(c);
-                    // The raw (j = 0) read of the voting window — what
-                    // a single read would have observed.
-                    let raw = fault.plan.read_bit(
-                        row,
-                        c,
-                        stored_bit,
-                        epoch.wrapping_mul(u64::from(reads)),
-                    );
-                    let bit = if reads > 1 {
-                        majority_read_bit(&fault.plan, row, c, stored_bit, epoch, reads)
-                    } else {
-                        raw
-                    };
-                    if raw != stored_bit {
-                        injected += 1;
-                        if bit == stored_bit {
-                            healed += 1;
-                        }
-                    }
-                    if bit != stored_bit {
-                        shard_bad[shard] += 1;
-                    }
-                    seen.bits_mut().set(c, bit);
-                }
-                views.push(Some(seen));
+                let image = fault.images.get(&fault.plan, fault.pool.resolve(slot));
+                let (seen, counts) = image.sense(&fault.plan, centroids[slot].bits(), epoch, reads);
+                injected += counts.raw_errors;
+                healed += counts.healed;
+                shard_bad[shard] += counts.errors;
+                views.push(Some(Hypervector::from_bitvec(seen)));
             }
         }
         // Trip quarantine on shards whose observed corruption exceeds
@@ -1716,6 +1699,89 @@ mod tests {
         // The voting price is charged: 5x the Hamming window issues of
         // an unfaulted run over the same stream.
         assert!(e.meter().total().time_ns() > 0.0);
+    }
+
+    /// The per-bit sense reference: every cell of every stored
+    /// sub-centroid through `read_bit` / `majority_read_bit`, with the
+    /// same remap rule as the engine. Returns the views and the
+    /// injected/healed totals.
+    fn sense_reference(
+        plan: &dual_fault::FaultPlan,
+        policy: dual_fault::HealingPolicy,
+        pool: &mut SpareRowPool,
+        centroids: &[Hypervector],
+        epoch: u64,
+    ) -> (Vec<Option<Hypervector>>, u64, u64) {
+        let reads = policy.reads();
+        let remap_threshold = plan.cols() / 100 + 1;
+        let (mut injected, mut healed) = (0u64, 0u64);
+        let mut views = Vec::new();
+        for (slot, stored) in centroids.iter().enumerate() {
+            if policy.spares() > 0
+                && !pool.is_remapped(slot)
+                && (plan.is_dead_row(slot) || plan.row_fault_count(slot) >= remap_threshold)
+            {
+                let _spare = pool.remap(slot, plan);
+            }
+            let row = pool.resolve(slot);
+            let mut seen = Hypervector::zeros(stored.dim());
+            for c in 0..stored.dim() {
+                let bit = stored.bits().get(c);
+                let raw = plan.read_bit(row, c, bit, epoch.wrapping_mul(u64::from(reads)));
+                let voted = dual_fault::majority_read_bit(plan, row, c, bit, epoch, reads);
+                injected += u64::from(raw != bit);
+                healed += u64::from(raw != bit && voted == bit);
+                seen.bits_mut().set(c, voted);
+            }
+            views.push(Some(seen));
+        }
+        (views, injected, healed)
+    }
+
+    #[test]
+    fn sense_matches_the_per_bit_reference() {
+        for (reads, spares) in [(1, 2), (3, 3), (5, 0)] {
+            let mut cfg = StreamConfig::new(3);
+            cfg.max_batch = 8;
+            cfg.decay = 0.9;
+            cfg.centroids_per_cluster = 2;
+            let mut spec = dual_fault::FaultPlanSpec::clean(6 + spares + 2, 90);
+            spec.seed = 17 + u64::from(reads);
+            spec.stuck_rate = 0.01;
+            spec.dead_row_rate = 0.2;
+            spec.flip_rate = 0.05;
+            let plan = dual_fault::FaultPlan::new(spec).unwrap();
+            let policy = dual_fault::HealingPolicy::Full { spares, reads };
+            let mut fc = FaultConfig::new(plan.clone()).with_policy(policy);
+            fc.quarantine_threshold = 1.0; // never mask a shard
+            let mut e = engine(cfg).with_fault_injection(fc).unwrap();
+            let mut remapped = 0;
+            for i in 0..120 {
+                e.push(&point(i)).unwrap();
+                if i % 8 != 7 {
+                    continue;
+                }
+                let mut probe = e.clone();
+                let mut pool = probe.fault.as_ref().unwrap().pool.clone();
+                let (want, injected, healed) = sense_reference(
+                    &plan,
+                    policy,
+                    &mut pool,
+                    probe.model.centroids(),
+                    probe.batcher.now(),
+                );
+                let before = probe.fault_status().unwrap();
+                let views = probe.sense_centroids().unwrap();
+                let after = probe.fault_status().unwrap();
+                assert_eq!(views, want, "reads={reads} i={i}");
+                assert_eq!(after.injected - before.injected, injected);
+                assert_eq!(after.healed - before.healed, healed);
+                assert_eq!(probe.fault.as_ref().unwrap().pool, pool);
+                remapped = pool.used();
+                e.tick().unwrap();
+            }
+            assert_eq!(remapped > 0, spares > 0, "remaps exercised: reads={reads}");
+        }
     }
 
     #[test]

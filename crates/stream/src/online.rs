@@ -336,36 +336,33 @@ impl OnlineKMeans {
 
     /// [`OnlineKMeans::observe_batch`] with a fault-injected *sense*
     /// stage: the assignment step searches the centroid array as seen
-    /// through `sense(slot, stored)` instead of the pristine storage.
+    /// through `views` instead of the pristine storage.
     ///
-    /// `sense` returns the (possibly corrupted) hypervector the match
-    /// lines observe for a stored slot, or `None` when the slot is
+    /// `views[slot]` is the (possibly corrupted) hypervector the match
+    /// lines observe for stored `slot`, or `None` when the slot is
     /// unavailable (its shard is dead) and must be excluded from
-    /// assignment. Slots seeded *by this batch* are sensed pristine —
-    /// they were written this tick and the first faulty read happens on
-    /// the next batch. If `sense` excludes every slot the model falls
-    /// back to the pristine index (total array loss is outside the
-    /// degradation model).
+    /// assignment; slots past the end of `views` are excluded too. The
+    /// views are moved into the search index, never copied. Slots
+    /// seeded *by this batch* are sensed pristine — they were written
+    /// this tick and the first faulty read happens on the next batch.
+    /// If every slot is excluded the model falls back to the pristine
+    /// index (total array loss is outside the degradation model).
     ///
     /// The accumulate and re-binarize stages always run against the
     /// pristine storage: corruption is a read-path phenomenon, and the
     /// majority rewrite is exactly the mechanism that heals stored
-    /// centers. `sense` is called serially in slot order, so
-    /// determinism is inherited from the caller's epoch keying.
+    /// centers.
     ///
     /// # Panics
     ///
-    /// As [`OnlineKMeans::observe_batch`]; additionally if `sense`
-    /// returns a hypervector of a different dimensionality.
-    pub fn observe_batch_sensed<F>(
+    /// As [`OnlineKMeans::observe_batch`]; additionally if a view has a
+    /// different dimensionality.
+    pub fn observe_batch_views(
         &mut self,
         encoded: &[Hypervector],
         threads: usize,
-        mut sense: F,
-    ) -> BatchUpdate
-    where
-        F: FnMut(usize, &Hypervector) -> Option<Hypervector>,
-    {
+        views: Vec<Option<Hypervector>>,
+    ) -> BatchUpdate {
         if encoded.is_empty() {
             return BatchUpdate::default();
         }
@@ -378,11 +375,12 @@ impl OnlineKMeans {
         self.seed_from(encoded, &mut update);
         self.decay_all();
 
+        let mut views = views.into_iter();
         let mut sensed: Vec<Hypervector> = Vec::with_capacity(self.index.len());
         let mut map: Vec<usize> = Vec::with_capacity(self.index.len());
         for (slot, stored) in self.index.centroids().iter().enumerate() {
             let view = if slot < pre_seeded {
-                sense(slot, stored)
+                views.next().flatten()
             } else {
                 Some(stored.clone()) // freshly seeded this batch
             };
@@ -407,6 +405,36 @@ impl OnlineKMeans {
 
         self.fold(encoded, &mut update);
         update
+    }
+
+    /// [`OnlineKMeans::observe_batch_views`] with the views produced by
+    /// a closure: `sense(slot, stored)` is called serially in slot order
+    /// for every slot seeded before this batch, so determinism is
+    /// inherited from the caller's epoch keying.
+    ///
+    /// # Panics
+    ///
+    /// As [`OnlineKMeans::observe_batch_views`].
+    pub fn observe_batch_sensed<F>(
+        &mut self,
+        encoded: &[Hypervector],
+        threads: usize,
+        mut sense: F,
+    ) -> BatchUpdate
+    where
+        F: FnMut(usize, &Hypervector) -> Option<Hypervector>,
+    {
+        if encoded.is_empty() {
+            return BatchUpdate::default();
+        }
+        let views = self
+            .index
+            .centroids()
+            .iter()
+            .enumerate()
+            .map(|(slot, stored)| sense(slot, stored))
+            .collect();
+        self.observe_batch_views(encoded, threads, views)
     }
 
     /// Stage 1: copy the batch's leading points into unseeded slots.
@@ -557,7 +585,8 @@ mod tests {
         let mut sensed = plain.clone();
         for chunk in points.chunks(10) {
             let a = plain.observe_batch(chunk, 2);
-            let b = sensed.observe_batch_sensed(chunk, 2, |_, hv| Some(hv.clone()));
+            let views = sensed.centroids().iter().cloned().map(Some).collect();
+            let b = sensed.observe_batch_views(chunk, 2, views);
             assert_eq!(a, b);
         }
         assert_eq!(plain, sensed);
@@ -570,14 +599,13 @@ mod tests {
         m.seed(&centers).unwrap();
         // Query exactly center 1, but sense slot 1 as unavailable: the
         // point must land on some other slot.
-        let up = m.observe_batch_sensed(std::slice::from_ref(&centers[1]), 1, |slot, hv| {
-            (slot != 1).then(|| hv.clone())
-        });
+        let views = (0..4).map(|slot| (slot != 1).then(|| centers[slot].clone()));
+        let up = m.observe_batch_views(std::slice::from_ref(&centers[1]), 1, views.collect());
         assert_ne!(up.assignments[0].0, 1);
         // With every slot excluded, assignment falls back to pristine.
         let mut m2 = OnlineKMeans::new(64, 4, 1, 1.0, 2);
         m2.seed(&centers).unwrap();
-        let up2 = m2.observe_batch_sensed(std::slice::from_ref(&centers[1]), 1, |_, _| None);
+        let up2 = m2.observe_batch_views(std::slice::from_ref(&centers[1]), 1, Vec::new());
         assert_eq!(up2.assignments[0], (1, 0));
     }
 
@@ -589,12 +617,37 @@ mod tests {
         let zeros = Hypervector::zeros(32);
         let mut m = OnlineKMeans::new(32, 2, 1, 1.0, 1);
         m.seed(&[ones.clone(), zeros.clone()]).unwrap();
-        let up = m.observe_batch_sensed(std::slice::from_ref(&ones), 1, |slot, hv| {
-            Some(if slot == 0 { zeros.clone() } else { hv.clone() })
-        });
+        let views = vec![Some(zeros.clone()), Some(zeros.clone())];
+        let up = m.observe_batch_views(std::slice::from_ref(&ones), 1, views);
         // Both sensed slots look identical (all zeros); tie-break low.
         assert_eq!(up.assignments[0].0, 0);
         assert_eq!(m.centroids()[0], ones, "storage is not corrupted");
+    }
+
+    #[test]
+    fn sensed_closure_feeds_the_owned_views() {
+        let points = pool(30, 64, 23);
+        let mut owned = OnlineKMeans::new(64, 3, 2, 0.7, 2);
+        let mut closure = owned.clone();
+        let zeros = Hypervector::zeros(64);
+        for chunk in points.chunks(10) {
+            // Mask slot 2 and blank slot 0 in both forms.
+            let views = (0..owned.seeded())
+                .map(|slot| match slot {
+                    0 => Some(zeros.clone()),
+                    2 => None,
+                    _ => Some(owned.centroids()[slot].clone()),
+                })
+                .collect();
+            let a = owned.observe_batch_views(chunk, 2, views);
+            let b = closure.observe_batch_sensed(chunk, 2, |slot, hv| match slot {
+                0 => Some(zeros.clone()),
+                2 => None,
+                _ => Some(hv.clone()),
+            });
+            assert_eq!(a, b);
+        }
+        assert_eq!(owned, closure);
     }
 
     #[test]

@@ -378,11 +378,12 @@ impl<E: Encoder + Sync> StreamEngine<E> {
     /// Metric ordering keeps replay byte-stable: every `snap.*` metric
     /// is updated **before** the returned bytes are encoded, so the
     /// blob carries exactly the state a restored engine must resume
-    /// with. `snap.bytes` needs a probe pass for that — a first encode
-    /// measures the blob, the gauge is set to that length, and the
-    /// state is re-encoded (a gauge is fixed-width on the wire, so the
-    /// length cannot change between the passes and the blob ends up
-    /// carrying its own size).
+    /// with — `snap.bytes` included, so the blob carries its own size.
+    /// The engine is captured once; a counting pass over the capture
+    /// measures the blob, the gauge is set to that length, and only the
+    /// captured registry is refreshed before the single encode (a gauge
+    /// is fixed-width on the wire, so the refresh cannot change the
+    /// length).
     pub fn checkpoint(&mut self) -> Vec<u8> {
         self.obs.add(Key::SnapCaptured, 1);
         self.obs
@@ -398,10 +399,12 @@ impl<E: Encoder + Sync> StreamEngine<E> {
                 tick: self.batcher.now(),
             },
         );
-        let probe = self.capture().encode().len();
-        self.obs.gauge(Key::SnapBytes, as_f64(as_u64(probe)));
-        let bytes = self.capture().encode();
-        debug_assert_eq!(bytes.len(), probe, "gauge width must not affect the length");
+        let mut snap = self.capture();
+        let len = snap.encoded_len();
+        self.obs.gauge(Key::SnapBytes, as_f64(as_u64(len)));
+        snap.obs = capture_obs(&self.obs);
+        let bytes = snap.encode();
+        debug_assert_eq!(bytes.len(), len, "gauge width must not affect the length");
         bytes
     }
 
@@ -1044,5 +1047,58 @@ mod tests {
         assert_eq!(snap.tick() % 4, 0, "captures land on the interval");
         assert!(e.obs_registry().counter(Key::SnapCaptured) > 0);
         assert!(e.obs_registry().gauge_value(Key::SnapBytes) > 0.0);
+    }
+
+    /// The double-capture checkpoint, kept as the reference: record the
+    /// capture, encode once to learn the length, set `snap.bytes`, then
+    /// capture and encode again.
+    fn checkpoint_reference(e: &mut StreamEngine<HdMapper>) -> Vec<u8> {
+        e.obs.add(Key::SnapCaptured, 1);
+        e.obs.gauge(Key::SnapLastTick, as_f64(e.batcher.now()));
+        e.trace.emit(
+            e.batcher.now(),
+            dual_trace::Event::SnapCapture {
+                tick: e.batcher.now(),
+            },
+        );
+        let probe = e.capture().encode().len();
+        e.obs.gauge(Key::SnapBytes, as_f64(as_u64(probe)));
+        e.capture().encode()
+    }
+
+    #[test]
+    fn checkpoint_matches_the_double_capture_reference() {
+        let mut spec = dual_fault::FaultPlanSpec::clean(12, 64);
+        spec.seed = 5;
+        spec.stuck_rate = 0.01;
+        spec.dead_row_rate = 0.15;
+        spec.flip_rate = 0.02;
+        let plan = dual_fault::FaultPlan::new(spec).unwrap();
+        let fault = FaultConfig::new(plan).with_policy(HealingPolicy::Full {
+            spares: 3,
+            reads: 3,
+        });
+        for fault in [None, Some(fault)] {
+            let mut a = engine(3);
+            if let Some(f) = fault.clone() {
+                a = a.with_fault_injection(f).unwrap();
+            }
+            let mut b = a.clone();
+            for round in 0..3 {
+                drive(&mut a, round * 15..(round + 1) * 15);
+                drive(&mut b, round * 15..(round + 1) * 15);
+                let blob = a.checkpoint();
+                assert_eq!(blob, checkpoint_reference(&mut b), "round {round}");
+                assert_eq!(a.capture(), b.capture(), "same side effects");
+                // The blob carries its own length in `snap.bytes`.
+                let len = as_f64(as_u64(blob.len()));
+                assert_eq!(a.obs_registry().gauge_value(Key::SnapBytes), len);
+                let mapper = HdMapper::new(64, 2, 7).unwrap();
+                let restored =
+                    StreamEngine::restore_with(mapper, &blob, CostModel::paper(), fault.clone())
+                        .unwrap();
+                assert_eq!(restored.obs_registry().gauge_value(Key::SnapBytes), len);
+            }
+        }
     }
 }
