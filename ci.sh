@@ -25,12 +25,11 @@
 #   verify-isa   static dataflow verification of every PIM trace + mutation gate
 #   topology     multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS
 #   trace        flight-recorder kill/restore/replay identity, byte-diffed
-#   compile      verify-gated pipeline compilation + compiled-vs-interpreted differential
 #   perfbench    stream benchmark's own tests, incl. the engine-vs-per-bit-reference replay
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(build test doc clippy fmt lint bench obs fault determinism recovery verify-isa topology trace compile perfbench)
+ALL_STAGES=(build test doc clippy fmt lint bench obs fault determinism recovery verify-isa topology trace perfbench)
 
 describe_stage() {
   case "$1" in
@@ -48,7 +47,6 @@ describe_stage() {
     verify-isa)  echo "static dataflow verification of every PIM trace + mutation gate" ;;
     topology)    echo "multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS" ;;
     trace)       echo "flight-recorder kill/restore/replay identity, byte-diffed" ;;
-    compile)     echo "verify-gated pipeline compilation + compiled-vs-interpreted differential" ;;
     perfbench)   echo "stream benchmark's own tests, incl. the engine-vs-per-bit-reference replay" ;;
     *)           echo "" ;;
   esac
@@ -243,31 +241,6 @@ stage_trace() {
   done
   diff "$tmp/trace_0.json" results/trace_report.json \
     || { echo "trace_report.json drifted: regenerate and commit it"; return 1; }
-  echo "    reports byte-identical across DUAL_THREADS in {0, 2, 8}"
-  rm -rf "$tmp"
-}
-
-stage_compile() {
-  local tmp
-  tmp=$(mktemp -d)
-  echo "--- compile_report: shape matrix, mutation corpus, engine + executor differentials"
-  # The bin itself asserts every shape compiles Verifier::check-clean,
-  # every mutation-corpus corruption is rejected with its expected
-  # diagnostic class, and interpreted-vs-compiled engines agree to the
-  # bit (snapshots, WAL, obs registries, energy ledgers); the sweep
-  # here pins the report bytes across thread counts and against the
-  # committed artifact.
-  for threads in 0 2 8; do
-    DUAL_THREADS=$threads cargo run -q -p dual-bench --release --bin compile_report -- \
-      --out "$tmp/compile_$threads.json" >/dev/null
-    echo "    DUAL_THREADS=$threads ok"
-  done
-  for threads in 2 8; do
-    diff "$tmp/compile_0.json" "$tmp/compile_$threads.json" \
-      || { echo "compile report diverged at DUAL_THREADS=$threads"; return 1; }
-  done
-  diff "$tmp/compile_0.json" results/compile_report.json \
-    || { echo "compile_report.json drifted: regenerate and commit it"; return 1; }
   echo "    reports byte-identical across DUAL_THREADS in {0, 2, 8}"
   rm -rf "$tmp"
 }

@@ -35,6 +35,7 @@
 //! `bench_ratchet` compares against the committed
 //! `results/bench_summary.json`.
 
+use dual_bench::median;
 use dual_cluster::KMeans;
 use dual_hdc::{Encoder, HdMapper};
 use dual_obs::wall::WallClock;
@@ -70,12 +71,6 @@ fn min_ns(f: &mut impl FnMut()) -> u64 {
 
 fn ratio(base: u64, instr: u64) -> f64 {
     instr as f64 / base.max(1) as f64 - 1.0
-}
-
-/// Median of an odd number of samples.
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 fn report(name: &str, base: u64, instr: u64, tol: f64) {

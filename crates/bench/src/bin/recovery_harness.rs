@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
-use dual_snap::EngineSnapshot;
+use dual_snap::{fnv1a64, EngineSnapshot};
 use dual_stream::{FaultConfig, StreamConfig, StreamEngine};
 
 use dual_hdc::HdMapper;
@@ -56,16 +56,6 @@ struct Cell {
     /// FNV-1a 64 of the final stable obs JSON (identical between the
     /// uninterrupted and the recovered run — asserted before writing).
     stable_digest: u64,
-}
-
-/// FNV-1a 64 over bytes (the same digest `dual-snap` frames with).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The three swept recovery scenarios.

@@ -22,11 +22,9 @@
 //! * `stream_encode_over_calib` — bare `HdMapper::encode` of the
 //!   ratchet points;
 //! * `stream_residual_over_calib` — the full serial pipeline minus the
-//!   encode kernel (ring, batching, interpreted assign, update, meter),
+//!   encode kernel (ring, batching, sharded assign, update, meter),
 //!   timed directly by running it over an encoder that replays the
-//!   pre-encoded hypervectors;
-//! * `stream_residual_compiled_over_calib` — the same residual with the
-//!   assign stage dispatching the verifier-gated `dual-compile` program.
+//!   pre-encoded hypervectors.
 //!
 //! A speedup in any layer lowers its own metric and no other;
 //! `bench_ratchet` compares them against the committed
@@ -36,6 +34,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
+use dual_bench::median;
 use dual_data::DriftSpec;
 use dual_hdc::{Encoder, HdMapper, HdcError, Hypervector};
 use dual_pim::StreamBatchCost;
@@ -120,12 +119,6 @@ fn metrics_json(runs: &[PolicyRun]) -> String {
     out
 }
 
-/// Median of an odd number of samples.
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 /// Calibration sweeps per ratchet segment (≈ 2 ms on a 2-vCPU Xeon).
 const CALIB_SWEEPS: u32 = 60;
 
@@ -178,21 +171,19 @@ fn timed(f: impl FnOnce()) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-/// The ratchet metrics `(encode, residual, residual compiled)`, each
+/// The ratchet metrics `(encode, residual)`, each
 /// the median over [`RATCHET_REPS`] repetitions of that repetition's
 /// wall time divided by its calibration time.
 ///
 /// A repetition walks the ratchet points in [`TICK_EVERY`]-point
 /// segments and times, back to back per segment, one calibration run,
 /// bare serial encode of the segment, and the segment's push + tick on
-/// an interpreted and on a compiled serial [`Replay`] engine (drains
-/// close the last segment). Interleaving at ~10 ms granularity makes a
-/// busy host slow the yardstick and the code under test alike.
-/// Everything runs serial (`threads = 1`) so the metrics are
-/// independent of `DUAL_THREADS` and core count; compilation happens
-/// at engine construction, outside the timed region — that is the
-/// point of compiling once.
-fn ratchet_metrics() -> (f64, f64, f64) {
+/// a serial [`Replay`] engine (a drain closes the last segment).
+/// Interleaving at ~10 ms granularity makes a busy host slow the
+/// yardstick and the code under test alike. Everything runs serial
+/// (`threads = 1`) so the metrics are independent of `DUAL_THREADS`
+/// and core count.
+fn ratchet_metrics() -> (f64, f64) {
     let encoder = HdMapper::builder(DIM, FEATURES)
         .seed(7)
         .sigma(6.0)
@@ -206,7 +197,7 @@ fn ratchet_metrics() -> (f64, f64, f64) {
         .map(|(p, _)| p)
         .collect();
     let encoded = encoder.encode_batch(&stream).expect("well-shaped points");
-    let make_engine = |compiled: bool| {
+    let make_engine = || {
         let mut cfg = StreamConfig::new(CLUSTERS);
         cfg.capacity = 1024;
         cfg.max_batch = 256;
@@ -214,7 +205,6 @@ fn ratchet_metrics() -> (f64, f64, f64) {
         cfg.centroids_per_cluster = 2;
         cfg.decay = 0.95;
         cfg.threads = 1;
-        cfg.compiled = compiled;
         let replay = Replay {
             hvs: encoded.clone(),
             next: AtomicUsize::new(0),
@@ -232,15 +222,13 @@ fn ratchet_metrics() -> (f64, f64, f64) {
 
     let mut encode = Vec::with_capacity(RATCHET_REPS);
     let mut residual = Vec::with_capacity(RATCHET_REPS);
-    let mut residual_compiled = Vec::with_capacity(RATCHET_REPS);
     let mut calib_buf = vec![0.0f64; 8192];
     let calib_words: Vec<u64> = (0..512u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect();
     for _ in 0..RATCHET_REPS {
-        let mut interpreted = make_engine(false);
-        let mut compiled = make_engine(true);
-        let (mut t_calib, mut t_encode, mut t_pipe, mut t_pipe_compiled) = (0.0, 0.0, 0.0, 0.0);
+        let mut engine = make_engine();
+        let (mut t_calib, mut t_encode, mut t_pipe) = (0.0, 0.0, 0.0);
         for segment in stream.chunks(TICK_EVERY) {
             t_calib += timed(|| calibration(&mut calib_buf, &calib_words));
             t_encode += timed(|| {
@@ -248,17 +236,14 @@ fn ratchet_metrics() -> (f64, f64, f64) {
                     std::hint::black_box(encoder.encode(p).expect("well-shaped point"));
                 }
             });
-            t_pipe += timed(|| feed(&mut interpreted, segment));
-            t_pipe_compiled += timed(|| feed(&mut compiled, segment));
+            t_pipe += timed(|| feed(&mut engine, segment));
         }
-        t_pipe += timed(|| drop(interpreted.drain().expect("drain")));
-        t_pipe_compiled += timed(|| drop(compiled.drain().expect("drain")));
+        t_pipe += timed(|| drop(engine.drain().expect("drain")));
         let t_calib = t_calib.max(1e-9);
         encode.push(t_encode / t_calib);
         residual.push(t_pipe / t_calib);
-        residual_compiled.push(t_pipe_compiled / t_calib);
     }
-    (median(encode), median(residual), median(residual_compiled))
+    (median(encode), median(residual))
 }
 
 /// Hand-serialized report in the workspace's byte-stable JSON idiom:
@@ -394,13 +379,13 @@ fn main() {
     }
 
     if let Some(path) = summary_out {
-        let (encode, residual, residual_compiled) = ratchet_metrics();
+        let (encode, residual) = ratchet_metrics();
         let payload = format!(
-            "{{\n  \"version\": 1,\n  \"stream_encode_over_calib\": {encode:.4},\n  \"stream_residual_compiled_over_calib\": {residual_compiled:.4},\n  \"stream_residual_over_calib\": {residual:.4}\n}}\n"
+            "{{\n  \"version\": 1,\n  \"stream_encode_over_calib\": {encode:.4},\n  \"stream_residual_over_calib\": {residual:.4}\n}}\n"
         );
         std::fs::write(&path, payload).expect("writable --summary-out path");
         println!(
-            "ratchet metrics written to {path}: stream_encode_over_calib = {encode:.4}, stream_residual_over_calib = {residual:.4}, stream_residual_compiled_over_calib = {residual_compiled:.4} (medians of {RATCHET_REPS})"
+            "ratchet metrics written to {path}: stream_encode_over_calib = {encode:.4}, stream_residual_over_calib = {residual:.4} (medians of {RATCHET_REPS})"
         );
     }
 }

@@ -29,6 +29,7 @@ use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::{search, Encoder, HdMapper, Hypervector};
 use dual_obs::Key;
 use dual_pim::CostModel;
+use dual_snap::fnv1a64;
 use dual_stream::{BackpressurePolicy, FaultConfig, StreamConfig};
 use dual_topology::{QuotaSpec, TenantSpec, Topology};
 
@@ -149,16 +150,6 @@ fn storm_fault(def: &TenantDef) -> FaultConfig {
         spares: SPARES,
         reads: 3,
     })
-}
-
-/// FNV-1a 64 over bytes (the same digest `dual-snap` frames with).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Everything one run observed about one tenant.

@@ -40,6 +40,19 @@ pub enum Representation {
     },
 }
 
+/// Median of an odd number of timing samples: the middle one under
+/// [`f64::total_cmp`]. The perf-gate bins report their metrics as this
+/// median over repetitions.
+///
+/// # Panics
+///
+/// Panics when `xs` is empty.
+#[must_use]
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// Median pairwise Euclidean distance over a sample — the kernel
 /// bandwidth σ the HD-Mapper auto-calibrates to, mirroring the standard
 /// RBF median heuristic.

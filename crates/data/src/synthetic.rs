@@ -9,10 +9,9 @@ use crate::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 /// Specification of one synthetic dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticSpec {
     /// Dataset name.
     pub name: String,
@@ -148,7 +147,7 @@ impl SyntheticSpec {
 /// whose centers perform a slow seeded random walk while points are
 /// emitted — the workload the streaming engine (`dual-stream`) is
 /// built for, where batch re-clustering from disk is impossible.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftSpec {
     /// Feature dimensionality.
     pub n_features: usize,

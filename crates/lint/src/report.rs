@@ -1,6 +1,6 @@
-//! Machine-readable `--json` report (hand-serialized: the workspace is
-//! offline and the serde stand-in is a marker, so the writer emits a
-//! small, stable JSON document directly).
+//! Machine-readable `--json` report, hand-serialized: the workspace
+//! has no serialization dependency, so the writer emits a small,
+//! stable JSON document directly.
 //!
 //! Key order is fixed and collections are sorted, so the report is
 //! byte-stable for identical inputs — snapshot-testable and diffable

@@ -117,21 +117,30 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// ```
 #[must_use]
 pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<Range<usize>> {
-    let chunks = resolve_threads(chunks).min(len);
-    if len == 0 || chunks == 0 {
-        return Vec::new();
-    }
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for c in 0..chunks {
-        let size = base + usize::from(c < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    debug_assert_eq!(start, len);
-    out
+    balanced_ranges(len, resolve_threads(chunks)).collect()
+}
+
+/// The balanced split behind [`chunk_ranges`], walked without
+/// allocating: `chunks` is taken as given (no thread-count resolution,
+/// so `0` yields nothing). Hot loops that re-walk a fixed split per
+/// item — the sharded centroid scan — iterate this instead of
+/// collecting ranges.
+///
+/// ```rust
+/// let r: Vec<_> = dual_pool::balanced_ranges(10, 4).collect();
+/// assert_eq!(r, dual_pool::chunk_ranges(10, 4));
+/// assert_eq!(dual_pool::balanced_ranges(5, 0).count(), 0);
+/// ```
+pub fn balanced_ranges(len: usize, chunks: usize) -> impl Iterator<Item = Range<usize>> {
+    let chunks = chunks.min(len);
+    let (base, extra) = match chunks {
+        0 => (0, 0),
+        c => (len / c, len % c),
+    };
+    (0..chunks).map(move |c| {
+        let start = c * base + c.min(extra);
+        start..start + base + usize::from(c < extra)
+    })
 }
 
 /// Split `0..len` into blocks of [`FIXED_BLOCK`] items. Unlike
@@ -300,9 +309,14 @@ mod tests {
 
     #[test]
     fn chunk_ranges_cover_and_balance() {
-        for len in [0usize, 1, 2, 7, 63, 64, 65, 1000] {
-            for t in [1usize, 2, 3, 8, 200] {
+        for len in [0usize, 1, 2, 5, 7, 8, 13, 63, 64, 65, 100, 1000] {
+            for t in [1usize, 2, 3, 7, 8, 64, 200] {
                 let ranges = chunk_ranges(len, t);
+                assert_eq!(
+                    balanced_ranges(len, t).collect::<Vec<_>>(),
+                    ranges,
+                    "len={len} t={t}"
+                );
                 assert!(ranges.len() <= t.min(len.max(1)));
                 let mut expect = 0;
                 for r in &ranges {

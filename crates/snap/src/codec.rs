@@ -289,8 +289,10 @@ pub(crate) fn unframe(bytes: &[u8], magic: [u8; 4], supported: u32) -> Result<&[
 
 /// FNV-1a 64-bit over `bytes` — the frame checksum. Not cryptographic;
 /// it exists to turn accidental corruption (truncation survivors, bit
-/// flips) into a typed decode error.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// flips) into a typed decode error. Also exported as the workspace's
+/// one content digest for byte-stable reports.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

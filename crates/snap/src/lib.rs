@@ -56,6 +56,7 @@ mod error;
 mod state;
 mod tenant;
 
+pub use codec::fnv1a64;
 pub use error::SnapError;
 pub use state::{
     AlertRuleWire, BatchCostState, ConfigState, EngineSnapshot, FaultFingerprint, FaultState,

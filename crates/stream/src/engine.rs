@@ -21,7 +21,6 @@ use dual_obs::{Key, Registry};
 use dual_pim::endurance::WearLeveler;
 use dual_pim::{CostModel, Op, StreamBatchCost, StreamMeter};
 use dual_trace::{AlertEngine, AlertRule, Cut, Event, Recorder, TraceError};
-use serde::{Deserialize, Serialize};
 
 /// Rows per crossbar block (the Table III anchor geometry): hypervector
 /// dimensions and stored sub-centroids spread over `ceil(x / 1024)`
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 const BLOCK_ROWS: usize = 1024;
 
 /// Tunables of a [`StreamEngine`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamConfig {
     /// Ingest ring capacity in points.
     pub capacity: usize,
@@ -62,16 +61,7 @@ pub struct StreamConfig {
     /// Flight-recorder ring capacity in events (see
     /// [`StreamEngine::trace`]); `0` turns the recorder off and every
     /// trace site reduces to one branch.
-    #[serde(default)]
     pub trace_capacity: usize,
-    /// Execute the un-faulted assign stage through a pre-compiled,
-    /// verifier-gated [`dual_compile::CompiledPipeline`] instead of the
-    /// tree-walking sharded scan. Pure execution strategy: outputs,
-    /// snapshots, energy ledgers and observability counters are
-    /// bit-identical either way (the `compile` CI stage pins it), and
-    /// the flag is deliberately **not** part of snapshot state.
-    #[serde(default)]
-    pub compiled: bool,
 }
 
 impl StreamConfig {
@@ -93,7 +83,6 @@ impl StreamConfig {
             threads: 0,
             snapshot_every: 0,
             trace_capacity: 256,
-            compiled: false,
         }
     }
 
@@ -179,7 +168,7 @@ impl FaultConfig {
 
 /// A consistent export of the engine's fault/healing state (see
 /// [`StreamEngine::fault_status`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultStatus {
     /// Healing policy label (`off` / `spare_rows` / `majority_reread`
     /// / `full`).
@@ -232,7 +221,7 @@ pub(crate) struct FaultState {
 /// materializes this view on demand. The field set and semantics are
 /// unchanged from the bespoke-counter era, so serialized snapshots
 /// remain compatible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamCounters {
     /// Points accepted into the ring (all `Accepted*` outcomes).
     pub ingested: u64,
@@ -262,7 +251,7 @@ pub struct StreamCounters {
 }
 
 /// A consistent export of the engine's state between batches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamSnapshot {
     /// Logical time at the snapshot.
     pub tick: u64,
@@ -315,10 +304,6 @@ pub struct StreamEngine<E> {
     /// Tick-clock alert rules evaluated against [`StreamEngine::obs_registry`]
     /// at the end of every tick (see [`StreamEngine::with_alerts`]).
     pub(crate) alerts: AlertEngine,
-    /// The verified compiled pipeline the assign stage dispatches to
-    /// when [`StreamConfig::compiled`] is set; built once at
-    /// construction, `None` on the interpreted path.
-    pub(crate) compiled: Option<dual_compile::CompiledPipeline>,
 }
 
 impl<E: Encoder + Sync> StreamEngine<E> {
@@ -360,25 +345,6 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             config.shards,
         );
         let wear = WearLeveler::new(encoder.dim().div_ceil(BLOCK_ROWS).max(1));
-        let compiled = if config.compiled {
-            let shape = dual_compile::PipelineShape {
-                dim: encoder.dim(),
-                n_features: encoder.n_features(),
-                slots: config.k * config.centroids_per_cluster,
-                shards: config.shards,
-                batch: config.max_batch,
-            };
-            // The compiler refuses any program `Verifier::check` flags,
-            // so a `Some` here is a verified artifact by construction.
-            Some(dual_compile::Compiler::compile(shape).map_err(|_| {
-                StreamError::InvalidConfig {
-                    name: "compiled",
-                    reason: "pipeline shape is outside the verified-compilation envelope",
-                }
-            })?)
-        } else {
-            None
-        };
         Ok(Self {
             encoder,
             ring: Ring::with_capacity(config.capacity),
@@ -391,7 +357,6 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             wal: None,
             trace: Recorder::new(config.trace_capacity),
             alerts: AlertEngine::default(),
-            compiled,
             config,
         })
     }
@@ -606,8 +571,10 @@ impl<E: Encoder + Sync> StreamEngine<E> {
     /// # Errors
     ///
     /// Returns [`StreamError::FeatureLength`] when the point's feature
-    /// count differs from the encoder's, and propagates encode errors
-    /// from an inline `Block` flush.
+    /// count differs from the encoder's, [`StreamError::NonFiniteFeature`]
+    /// when a feature is NaN or infinite (either way the point never
+    /// reaches the ring and is not counted as ingested), and propagates
+    /// encode errors from an inline `Block` flush.
     pub fn push(&mut self, features: &[f64]) -> Result<PushOutcome, StreamError> {
         let policy = self.config.policy;
         self.push_policed(features, policy)
@@ -632,6 +599,9 @@ impl<E: Encoder + Sync> StreamEngine<E> {
                 expected: self.encoder.n_features(),
                 got: features.len(),
             });
+        }
+        if let Some(index) = features.iter().position(|x| !x.is_finite()) {
+            return Err(StreamError::NonFiniteFeature { index });
         }
         match self.ring.try_push(features.to_vec()) {
             Ok(()) => {
@@ -833,21 +803,7 @@ impl<E: Encoder + Sync> StreamEngine<E> {
         );
         let before = self.flight();
         let update = match views {
-            // Un-faulted path: dispatch to the compiled program when
-            // one is installed — same assignments, same counters, no
-            // per-batch re-derivation of windows/shards/geometry. The
-            // sensed path below stays interpreted (its candidate set
-            // is a per-batch fault view, not the compiled shape).
-            None => match &self.compiled {
-                Some(pipeline) => self.model.observe_batch_with(
-                    &encoded,
-                    self.config.threads,
-                    |queries, centroids, threads| {
-                        pipeline.assign_batch(queries, centroids, threads)
-                    },
-                ),
-                None => self.model.observe_batch(&encoded, self.config.threads),
-            },
+            None => self.model.observe_batch(&encoded, self.config.threads),
             Some(views) => self
                 .model
                 .observe_batch_views(&encoded, self.config.threads, views),
@@ -1282,48 +1238,23 @@ mod tests {
     }
 
     #[test]
-    fn compiled_engine_is_bit_identical_to_interpreted() {
-        let run = |compiled: bool, threads: usize| {
-            let mut cfg = StreamConfig::new(3);
-            cfg.max_batch = 8;
-            cfg.shards = 2;
-            cfg.centroids_per_cluster = 2;
-            cfg.threads = threads;
-            cfg.compiled = compiled;
-            let mut e = engine(cfg);
-            for i in 0..40 {
-                e.push(&point(i)).unwrap();
-                e.tick().unwrap();
-            }
-            e.drain().unwrap();
-            e
-        };
-        for threads in [1usize, 3] {
-            let a = run(false, threads);
-            let b = run(true, threads);
-            assert!(b.compiled.is_some(), "flag must install a pipeline");
-            assert_eq!(a.snapshot(), b.snapshot(), "threads={threads}");
+    fn push_rejects_non_finite_features_before_the_ring() {
+        let mut e = engine(StreamConfig::new(2));
+        for (bad, index) in [
+            ([f64::NAN, 0.5], 0),
+            ([0.5, f64::INFINITY], 1),
+            ([f64::NEG_INFINITY, f64::NAN], 0),
+        ] {
+            assert_eq!(e.push(&bad), Err(StreamError::NonFiniteFeature { index }));
             assert_eq!(
-                a.obs_registry().snapshot(),
-                b.obs_registry().snapshot(),
-                "threads={threads}"
+                e.push_policed(&bad, BackpressurePolicy::DropOldest),
+                Err(StreamError::NonFiniteFeature { index })
             );
         }
-    }
-
-    #[test]
-    fn compiled_flag_rejects_uncompilable_shapes() {
-        let mut cfg = StreamConfig::new(2);
-        cfg.compiled = true;
-        cfg.max_batch = 1 << 17; // outside the unroll envelope
-        let mapper = HdMapper::new(64, 2, 7).unwrap();
-        assert!(matches!(
-            StreamEngine::new(mapper, cfg),
-            Err(StreamError::InvalidConfig {
-                name: "compiled",
-                ..
-            })
-        ));
+        assert_eq!(e.pending(), 0);
+        assert_eq!(e.counters().ingested, 0);
+        assert_eq!(e.push(&[0.5, -0.5]).unwrap(), PushOutcome::Accepted);
+        assert_eq!(e.counters().ingested, 1);
     }
 
     #[test]

@@ -21,6 +21,13 @@ pub enum StreamError {
         /// Features the point carried.
         got: usize,
     },
+    /// A pushed point carries a NaN or infinite feature. The encoder
+    /// would map it to a meaningless hypervector that then joins a live
+    /// centroid, so it is refused before the ring.
+    NonFiniteFeature {
+        /// Position of the first non-finite feature.
+        index: usize,
+    },
     /// Seeded centroids did not match the engine geometry.
     CentroidShape {
         /// What was wrong.
@@ -50,6 +57,9 @@ impl fmt::Display for StreamError {
             }
             Self::FeatureLength { expected, got } => {
                 write!(f, "point has {got} features, encoder expects {expected}")
+            }
+            Self::NonFiniteFeature { index } => {
+                write!(f, "feature {index} is NaN or infinite")
             }
             Self::CentroidShape { reason } => write!(f, "bad seeded centroids: {reason}"),
             Self::Encode(e) => write!(f, "encode stage failed: {e}"),
@@ -99,6 +109,8 @@ mod tests {
             reason: "must be positive",
         };
         assert!(e.to_string().contains("capacity"));
+        let e = StreamError::NonFiniteFeature { index: 3 };
+        assert!(e.to_string().contains("feature 3"));
     }
 
     #[test]

@@ -3,17 +3,16 @@
 //! DUAL's chip partitions stored hypervectors across crossbar blocks
 //! and searches every block in parallel (§V-C); the software analogue
 //! keeps the sub-centroid set split into `shards` contiguous slices and
-//! answers nearest/top-k queries by merging per-shard results under the
+//! answers nearest queries by folding per-shard winners under the
 //! same `(distance, index)` total order that
 //! [`dual_hdc::search::top_k`] sorts by. Because shards are contiguous
 //! and merged in shard order, every query is **bit-identical** to a
 //! flat scan over the whole set — sharding changes the execution shape,
 //! never the answer.
 
-use dual_hdc::search;
+use crate::engine::as_u64;
 use dual_hdc::Hypervector;
-use serde::{Deserialize, Serialize};
-use std::ops::Range;
+use dual_obs::{Key, Obs};
 
 /// A set of sub-centroids partitioned into contiguous shards.
 ///
@@ -21,7 +20,7 @@ use std::ops::Range;
 /// reads current centers through [`ShardedIndex::centroids`] and
 /// rewrites them in place via [`ShardedIndex::set`], so there is a
 /// single source of truth for "what does the chip currently store".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedIndex {
     centroids: Vec<Hypervector>,
     shards: usize,
@@ -81,55 +80,23 @@ impl ShardedIndex {
         self.centroids[i] = hv;
     }
 
-    /// The contiguous global-index range of each shard. Boundaries are
-    /// a pure function of `(len, shards)` — the same balanced split the
-    /// worker pool uses — so the shard layout is deterministic.
-    #[must_use]
-    pub fn shard_ranges(&self) -> Vec<Range<usize>> {
-        dual_pool::chunk_ranges(self.centroids.len(), self.shards)
-    }
-
     /// Global index and Hamming distance of the sub-centroid nearest to
-    /// `query`: per-shard winners (via [`search::top_k`] with `k = 1`)
-    /// folded in shard order, so ties break toward the lowest global
-    /// index exactly as a flat [`search::nearest`] scan does. `None`
-    /// when the index is empty.
+    /// `query`: per-shard winners folded in shard order, so ties break
+    /// toward the lowest global index exactly as a flat
+    /// [`dual_hdc::search::nearest`] scan does. `None` when the index is
+    /// empty.
     #[must_use]
     pub fn nearest(&self, query: &Hypervector) -> Option<(usize, usize)> {
-        let mut best: Option<(usize, usize)> = None;
-        for r in self.shard_ranges() {
-            for (i, d) in search::top_k(query, &self.centroids[r.clone()], 1) {
-                let gi = r.start + i;
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((gi, d));
-                }
-            }
-        }
+        let mut tally = ScanTally::default();
+        let best = self.scan(query, &mut tally);
+        tally.flush();
         best
-    }
-
-    /// The `k` sub-centroids nearest to `query`, merged from per-shard
-    /// [`search::top_k`] lists under the `(distance, index)` total
-    /// order — bit-identical to `search::top_k` over the flat set.
-    #[must_use]
-    pub fn top_k(&self, query: &Hypervector, k: usize) -> Vec<(usize, usize)> {
-        let mut merged: Vec<(usize, usize)> = Vec::new();
-        for r in self.shard_ranges() {
-            merged.extend(
-                search::top_k(query, &self.centroids[r.clone()], k)
-                    .into_iter()
-                    .map(|(i, d)| (r.start + i, d)),
-            );
-        }
-        merged.sort_by_key(|&(i, d)| (d, i));
-        merged.truncate(k);
-        merged
     }
 
     /// Assign every query to its nearest sub-centroid, chunking queries
     /// across up to `threads` scoped workers (`0` = auto). The output
-    /// is bit-identical to [`search::assign_batch`] over the flat
-    /// centroid set for every `(shards, threads)` combination.
+    /// is bit-identical to [`dual_hdc::search::assign_batch`] over the
+    /// flat centroid set for every `(shards, threads)` combination.
     ///
     /// # Panics
     ///
@@ -140,13 +107,63 @@ impl ShardedIndex {
         assert!(!self.is_empty(), "cannot assign against an empty index");
         let mut out = vec![(0usize, 0usize); queries.len()];
         dual_pool::par_fill(&mut out, threads, |offset, slots| {
+            let mut tally = ScanTally::default();
             for (slot, q) in slots.iter_mut().zip(&queries[offset..]) {
-                // Non-empty index: `nearest` always finds a winner; the
+                // Non-empty index: the scan always finds a winner; the
                 // fallback keeps the closure total without panicking.
-                *slot = self.nearest(q).unwrap_or((0, 0));
+                *slot = self.scan(q, &mut tally).unwrap_or((0, 0));
             }
+            tally.flush();
         });
         out
+    }
+
+    /// The allocation-free sharded scan behind [`ShardedIndex::nearest`]
+    /// and [`ShardedIndex::assign`]. Each shard of the balanced
+    /// [`dual_pool::balanced_ranges`] split keeps its own
+    /// strict-improvement winner — the bounded top-1 discipline of
+    /// [`dual_hdc::search::top_k`] with `k = 1` — and the winners fold
+    /// in shard order, ties to the earlier shard. The search counters go
+    /// into `tally` exactly as one `search::top_k(query, shard, 1)` call
+    /// per shard would record them.
+    fn scan(&self, query: &Hypervector, tally: &mut ScanTally) -> Option<(usize, usize)> {
+        let mut best: Option<(usize, usize)> = None;
+        for r in dual_pool::balanced_ranges(self.centroids.len(), self.shards) {
+            let mut shard_best: Option<(usize, usize)> = None;
+            for (i, c) in self.centroids[r.clone()].iter().enumerate() {
+                let d = query.hamming(c);
+                if shard_best.is_none_or(|(_, bd)| d < bd) {
+                    shard_best = Some((r.start + i, d));
+                    tally.pushes += 1;
+                }
+            }
+            tally.queries += 1;
+            if let Some((gi, d)) = shard_best {
+                if best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((gi, d));
+                }
+            }
+        }
+        tally.words += as_u64(self.centroids.len()) * as_u64(query.dim().div_ceil(64));
+        best
+    }
+}
+
+/// `hdc.search.*` counts of a run of scans, flushed to the global
+/// recorder once per worker chunk instead of once per shard.
+#[derive(Default)]
+struct ScanTally {
+    queries: u64,
+    words: u64,
+    pushes: u64,
+}
+
+impl ScanTally {
+    fn flush(&self) {
+        let obs = Obs::global();
+        obs.add(Key::HdcSearchQueries, self.queries);
+        obs.add(Key::HdcPopcountWords, self.words);
+        obs.add(Key::HdcTopKPushes, self.pushes);
     }
 }
 
@@ -154,6 +171,7 @@ impl ShardedIndex {
 mod tests {
     use super::*;
     use dual_hdc::ops::random_hypervector;
+    use dual_hdc::search;
 
     fn pool(n: usize, dim: usize, seed: u64) -> Vec<Hypervector> {
         (0..n)
@@ -175,22 +193,6 @@ mod tests {
                         "n={n} shards={shards}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_top_k_matches_flat_top_k() {
-        let cents = pool(40, 128, 3);
-        let q = Hypervector::zeros(128);
-        for shards in [1usize, 2, 3, 7, 40, 100] {
-            let idx = ShardedIndex::new(cents.clone(), shards);
-            for k in [0usize, 1, 5, 40, 60] {
-                assert_eq!(
-                    idx.top_k(&q, k),
-                    search::top_k(&q, &cents, k),
-                    "shards={shards} k={k}"
-                );
             }
         }
     }

@@ -28,10 +28,9 @@ use crate::error::StreamError;
 use crate::index::ShardedIndex;
 use dual_cluster::CentroidAccumulator;
 use dual_hdc::Hypervector;
-use serde::{Deserialize, Serialize};
 
 /// What one observed micro-batch did to the model.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BatchUpdate {
     /// Per input point, in order: `(sub_centroid, hamming_distance)`.
     pub assignments: Vec<(usize, usize)>,
@@ -44,7 +43,7 @@ pub struct BatchUpdate {
 /// Online decayed mini-batch k-means state: `k × centroids_per_cluster`
 /// sub-centroid slots, one decayed accumulator per slot, and the
 /// sharded index the assignment step searches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineKMeans {
     dim: usize,
     k: usize,
@@ -289,47 +288,6 @@ impl OnlineKMeans {
         self.seed_from(encoded, &mut update);
         self.decay_all();
         update.assignments = self.index.assign(encoded, threads);
-        self.fold(encoded, &mut update);
-        update
-    }
-
-    /// [`OnlineKMeans::observe_batch`] with the assign stage delegated
-    /// to `assign` — the hook the stream engine uses to dispatch a
-    /// pre-compiled pipeline kernel. Seed, decay, accumulate and
-    /// re-binarize are byte-for-byte the interpreted stages; only the
-    /// nearest-centroid search is swapped, and the caller owes the
-    /// same contract [`ShardedIndex::assign`] meets: one
-    /// `(global slot, distance)` per query, bit-identical to the flat
-    /// scan.
-    ///
-    /// # Panics
-    ///
-    /// As [`OnlineKMeans::observe_batch`]; additionally if `assign`
-    /// returns a different number of assignments than queries.
-    pub fn observe_batch_with<F>(
-        &mut self,
-        encoded: &[Hypervector],
-        threads: usize,
-        assign: F,
-    ) -> BatchUpdate
-    where
-        F: FnOnce(&[Hypervector], &[Hypervector], usize) -> Vec<(usize, usize)>,
-    {
-        if encoded.is_empty() {
-            return BatchUpdate::default();
-        }
-        assert!(
-            encoded.iter().all(|h| h.dim() == self.dim),
-            "batch hypervector dimensionality differs from model dim"
-        );
-        let mut update = BatchUpdate::default();
-        self.seed_from(encoded, &mut update);
-        self.decay_all();
-        update.assignments = assign(encoded, self.index.centroids(), threads);
-        assert!(
-            update.assignments.len() == encoded.len(),
-            "assign hook must return one assignment per query"
-        );
         self.fold(encoded, &mut update);
         update
     }

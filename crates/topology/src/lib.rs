@@ -89,7 +89,7 @@ mod tests {
     use super::*;
     use dual_hdc::HdMapper;
     use dual_obs::Key;
-    use dual_stream::{BackpressurePolicy, PushOutcome, StreamConfig};
+    use dual_stream::{BackpressurePolicy, PushOutcome, StreamConfig, StreamError};
 
     fn encoder() -> HdMapper {
         HdMapper::builder(256, 3)
@@ -174,6 +174,38 @@ mod tests {
         assert_eq!(adm, Admission::InBudget(PushOutcome::Accepted));
         assert!(adm.accepted());
         assert_eq!(adm.outcome(), Some(PushOutcome::Accepted));
+    }
+
+    #[test]
+    fn non_finite_features_surface_as_stream_errors() {
+        let mut topo = Topology::new();
+        topo.add_tenant(TenantSpec::new("a", small_config()), encoder())
+            .unwrap();
+        // Zero credit and a shedding escalation: the over-budget path
+        // goes through `push_policed` rather than `push`.
+        topo.add_tenant(
+            TenantSpec::new("b", small_config()).with_quota(QuotaSpec {
+                budget_pj_per_tick: 0.0,
+                escalation: BackpressurePolicy::DropOldest,
+            }),
+            encoder(),
+        )
+        .unwrap();
+        for i in 0..4 {
+            assert!(topo.push("b", &point(i)).unwrap().accepted());
+        }
+        topo.tick().unwrap();
+        for tenant in ["a", "b"] {
+            assert_eq!(
+                topo.push(tenant, &[0.5, f64::NAN, 0.5]),
+                Err(TopologyError::Stream(StreamError::NonFiniteFeature {
+                    index: 1
+                })),
+                "tenant {tenant}"
+            );
+            assert_eq!(topo.engine(tenant).unwrap().pending(), 0);
+        }
+        assert_eq!(topo.engine("a").unwrap().counters().ingested, 0);
     }
 
     #[test]
